@@ -895,11 +895,13 @@ def bench_adaptation_loop(
             f"{adaptive['tail_regret_ms']:.1f}ms did not beat the frozen "
             f"incumbent's {frozen['tail_regret_ms']:.1f}ms"
         )
-    ratio = (
-        frozen["tail_regret_ms"] / adaptive["tail_regret_ms"]
-        if adaptive["tail_regret_ms"] > 0
-        else float(requests)  # adaptive tail is regret-free: cap the ratio
-    )
+    if adaptive["tail_regret_ms"] > 0:
+        ratio = frozen["tail_regret_ms"] / adaptive["tail_regret_ms"]
+        outcome = {"regret_improvement_ratio": ratio}
+    else:
+        # A regret-free tail has no finite ratio: record the flag rather
+        # than invent a number the relative gate would compare against.
+        outcome = {"adaptive_tail_regret_free": True}
     return {
         "pair": list(pair),
         "predictor": "cart",
@@ -912,7 +914,7 @@ def bench_adaptation_loop(
         "adaptive_tail_regret_ms": adaptive["tail_regret_ms"],
         "frozen_total_regret_ms": frozen["total_regret_ms"],
         "adaptive_total_regret_ms": adaptive["total_regret_ms"],
-        "regret_improvement_ratio": ratio,
+        **outcome,
         "frozen_requests_per_sec": frozen["requests_per_sec"],
         "adaptive_requests_per_sec": adaptive["requests_per_sec"],
         "drift_alarms": summary["drift_alarms"],
@@ -1033,6 +1035,8 @@ def check_regressions(old: dict, new: dict) -> list[str]:
             f"shard_scaling.n{headline}_speedup_vs_single: {speedup:.2f} "
             f"< floor {SHARD_SPEEDUP_FLOOR:.1f}x over the single process"
         )
+    # A regret-free adaptive tail (``adaptive_tail_regret_free``) records
+    # no ratio and passes the floor.
     adapt = new.get("adaptation_loop") or {}
     ratio = adapt.get("regret_improvement_ratio")
     if ratio is not None and ratio < ADAPT_REGRET_FLOOR:
@@ -1233,7 +1237,11 @@ def main(argv: list[str] | None = None) -> int:
             drift_factor=adapt["drift_factor"],
             frozen_tail_regret_ms=round(adapt["frozen_tail_regret_ms"], 1),
             adaptive_tail_regret_ms=round(adapt["adaptive_tail_regret_ms"], 1),
-            improvement=round(adapt["regret_improvement_ratio"], 2),
+            improvement=(
+                "regret-free"
+                if adapt.get("adaptive_tail_regret_free")
+                else round(adapt["regret_improvement_ratio"], 2)
+            ),
             promotions=adapt["promotions"],
             retrains=adapt["retrains"],
             generation=adapt["generation"],

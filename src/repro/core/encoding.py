@@ -157,39 +157,22 @@ def decode_config_batch(
 ) -> list[tuple[AcceleratorSpec, MachineConfig]]:
     """Decode an ``(n, NUM_TARGETS)`` prediction matrix in one pass.
 
-    The knob arithmetic (rounding, log ramps, ceiling clamps) runs
-    vectorized over the whole matrix; only the final
-    :class:`MachineConfig` construction is per-row.  Row ``i`` of the
-    result equals ``decode_config(vectors[i], gpu, multicore)`` — the
+    The M1 bit (thresholded at 0.5) picks each row's device; the rows of
+    each kind then decode through :func:`decode_config_for` on that
+    device and scatter back into input order.  Row ``i`` of the result
+    equals ``decode_config(vectors[i], gpu, multicore)`` — the
     equivalence is pinned by tests, because the exactness of the serving
     cache depends on it.
     """
     vectors = _validated_matrix(vectors)
-    if vectors.shape[0] == 0:
-        return []
-    multicore_rows = (vectors[:, 0] >= 0.5).tolist()
-    mc = _multicore_knob_lists(vectors, multicore)
-    gp = _gpu_knob_lists(vectors, gpu)
-
-    # Per-row fan-out.  Knobs are snapped to a discrete lattice, so many
-    # rows decode to the same configuration; MachineConfig is frozen, so
-    # duplicate rows can share one instance — construction (the dominant
-    # per-row cost) runs once per *unique* decoded config.
-    memo: dict[tuple, tuple[AcceleratorSpec, MachineConfig]] = {}
-    decoded: list[tuple[AcceleratorSpec, MachineConfig]] = []
-    for row in range(vectors.shape[0]):
-        if multicore_rows[row]:
-            key = _multicore_key(mc, row)
-        else:
-            key = _gpu_key(gp, row)
-        entry = memo.get(key)
-        if entry is None:
-            if key[0]:
-                entry = (multicore, _multicore_config(multicore, mc, row))
-            else:
-                entry = (gpu, _gpu_config(gpu, gp, row))
-            memo[key] = entry
-        decoded.append(entry)
+    decoded: list = [None] * vectors.shape[0]
+    multicore_rows = vectors[:, 0] >= 0.5
+    for spec, mask in ((multicore, multicore_rows), (gpu, ~multicore_rows)):
+        rows = np.flatnonzero(mask)
+        if rows.size:
+            configs = decode_config_for(vectors[rows], spec)
+            for row, config in zip(rows.tolist(), configs):
+                decoded[row] = (spec, config)
     return decoded
 
 
@@ -198,38 +181,29 @@ def decode_config_for(
 ) -> list[MachineConfig]:
     """Decode an ``(n, NUM_TARGETS)`` prediction matrix onto ONE device.
 
-    The fleet generalization of :func:`decode_config_batch`: the M1
-    accelerator bit is *ignored* and every row's knobs are decoded onto
-    ``spec`` using its own architectural parameters.  For the device the
-    M1 bit names this is bit-identical to :func:`decode_config_batch`;
-    for a device of the opposite kind it is bit-identical to re-decoding
+    The one knob decoder: the M1 accelerator bit is *ignored* and every
+    row's knobs are decoded onto ``spec`` using its own architectural
+    parameters (:func:`decode_config_batch` is this, run per M1 kind).
+    For a device of the opposite kind it is bit-identical to re-decoding
     the vector with the M1 bit flipped (the pre-fleet runner-up path) —
-    both pinned by the fleet property tests, because the N=2 fleet must
-    reproduce the historical pair decisions exactly.
+    pinned by the fleet property tests, because the N=2 fleet must
+    reproduce the historical pair decisions exactly.  The knob
+    arithmetic (rounding, log ramps, ceiling clamps) runs vectorized;
+    only :class:`MachineConfig` construction is per row, and rows that
+    snap to the same lattice point share one frozen instance.
     """
     vectors = _validated_matrix(vectors)
-    if vectors.shape[0] == 0:
-        return []
+    if spec.is_gpu:
+        knobs, build = _gpu_knob_lists(vectors, spec), _gpu_config
+    else:
+        knobs, build = _multicore_knob_lists(vectors, spec), _multicore_config
     memo: dict[tuple, MachineConfig] = {}
     configs: list[MachineConfig] = []
-    if spec.is_gpu:
-        gp = _gpu_knob_lists(vectors, spec)
-        for row in range(vectors.shape[0]):
-            key = _gpu_key(gp, row)
-            config = memo.get(key)
-            if config is None:
-                config = _gpu_config(spec, gp, row)
-                memo[key] = config
-            configs.append(config)
-    else:
-        mc = _multicore_knob_lists(vectors, spec)
-        for row in range(vectors.shape[0]):
-            key = _multicore_key(mc, row)
-            config = memo.get(key)
-            if config is None:
-                config = _multicore_config(spec, mc, row)
-                memo[key] = config
-            configs.append(config)
+    for key in zip(*knobs):  # one tuple of plain-scalar knobs per row
+        config = memo.get(key)
+        if config is None:
+            config = memo[key] = build(spec, *key)
+        configs.append(config)
     return configs
 
 
@@ -304,53 +278,39 @@ def _gpu_knob_lists(
     return gthreads.tolist(), lthreads.tolist()
 
 
-def _multicore_key(mc: tuple[list, ...], row: int) -> tuple:
-    cores, tpc, simd, blocktime, chunk, schedules, placement, affinity = mc
-    return (
-        True,
-        cores[row],
-        tpc[row],
-        simd[row],
-        blocktime[row],
-        placement[row],
-        affinity[row],
-        schedules[row],
-        chunk[row],
-    )
-
-
-def _gpu_key(gp: tuple[list, list], row: int) -> tuple:
-    gthreads, lthreads = gp
-    return (False, gthreads[row], lthreads[row])
-
-
 def _multicore_config(
-    multicore: AcceleratorSpec, mc: tuple[list, ...], row: int
+    multicore: AcceleratorSpec,
+    cores: int,
+    tpc: int,
+    simd: int,
+    blocktime: float,
+    chunk: int,
+    schedule: OmpSchedule,
+    placement: float,
+    affinity: float,
 ) -> MachineConfig:
-    cores, tpc, simd, blocktime, chunk, schedules, placement, affinity = mc
     return _trusted_config(
         accelerator=multicore.name,
-        cores=cores[row],
-        threads_per_core=tpc[row],
-        simd_width=simd[row],
-        blocktime_ms=blocktime[row],
-        placement_core=placement[row],
-        placement_thread=placement[row],
-        placement_offset=placement[row],
-        affinity=affinity[row],
-        omp_schedule=schedules[row],
-        omp_chunk=chunk[row],
+        cores=cores,
+        threads_per_core=tpc,
+        simd_width=simd,
+        blocktime_ms=blocktime,
+        placement_core=placement,
+        placement_thread=placement,
+        placement_offset=placement,
+        affinity=affinity,
+        omp_schedule=schedule,
+        omp_chunk=chunk,
     )
 
 
 def _gpu_config(
-    gpu: AcceleratorSpec, gp: tuple[list, list], row: int
+    gpu: AcceleratorSpec, gthreads: int, lthreads: int
 ) -> MachineConfig:
-    gthreads, lthreads = gp
     return _trusted_config(
         accelerator=gpu.name,
-        gpu_global_threads=gthreads[row],
-        gpu_local_threads=lthreads[row],
+        gpu_global_threads=gthreads,
+        gpu_local_threads=lthreads,
     )
 
 

@@ -1,6 +1,7 @@
 """Runtime: deployment, trace caching, streaming, async serving."""
 
 from repro.runtime.deploy import Workload, prepare_workload, run_workload
+from repro.runtime.front import BatchFront, FrontConfig
 from repro.runtime.loadgen import (
     OpenLoopReport,
     onoff_arrivals,
@@ -28,6 +29,7 @@ from repro.runtime.serving import (
     DecisionCache,
     feature_key,
     feature_keys_batch,
+    unique_rows,
 )
 from repro.runtime.streaming import (
     StreamingRunResult,
@@ -37,10 +39,12 @@ from repro.runtime.streaming import (
 from repro.runtime.trace_cache import cache_dir, clear_cache, load_trace, store_trace
 
 __all__ = [
+    "BatchFront",
     "CachedDecision",
     "CacheStats",
     "DecisionCache",
     "DecisionServer",
+    "FrontConfig",
     "HashRing",
     "OpenLoopReport",
     "RouterConfig",
@@ -67,4 +71,5 @@ __all__ = [
     "store_trace",
     "streaming_degree_sum",
     "streaming_sssp_bf",
+    "unique_rows",
 ]

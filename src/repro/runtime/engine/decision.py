@@ -6,8 +6,9 @@ and the exact LRU :class:`~repro.runtime.serving.DecisionCache` — and
 exposes two tiers:
 
 * :meth:`plan_batch` — the throughput path: encode all features in one
-  pass, dedupe through the cache and an in-batch memo, run **one**
-  batched forward for the misses, fan back out in input order;
+  pass, dedupe rows (:func:`~repro.runtime.serving.unique_rows`), probe
+  the cache once per unique row, run **one** batched forward for the
+  misses, fan back out in input order;
 * :meth:`decide_batch` — the engine path: everything above, plus a
   cost-model estimate of the predicted knob vector decoded onto
   **every** device in the fleet, packaged as
@@ -58,6 +59,7 @@ from repro.runtime.serving import (
     CachedDecision,
     DecisionCache,
     feature_keys_batch,
+    unique_rows,
 )
 
 __all__ = ["DecisionService", "select_chosen", "select_runner_up"]
@@ -287,11 +289,12 @@ class DecisionService:
         """Decide a pre-encoded feature matrix through cache + one forward.
 
         Returns one :class:`CachedDecision` per input row, in order.
-        Equal feature rows share a single prediction (first occurrence
-        computes, the rest hit the freshly inserted cache entry or an
-        in-batch memo when the cache is disabled or bypassed).  The async
-        server calls this directly with memoized feature rows, skipping
-        the encode pass for hot workloads.
+        Equal feature rows share a single prediction: the matrix is
+        deduped with :func:`~repro.runtime.serving.unique_rows`, each
+        unique row is keyed and probed once (first-occurrence order), and
+        its entry fans back out to every equal row.  The serving fronts
+        call this directly with memoized feature rows, skipping the
+        encode pass for hot workloads.
 
         The plan tier is feature-pure, so decoding anchors on the fleet
         primaries; cache keys carry the fleet fingerprint, so a cache
@@ -309,35 +312,38 @@ class DecisionService:
             return self._choose_encoded(features)
 
     def _choose_encoded(self, features: np.ndarray) -> list[CachedDecision]:
+        # One cache key and at most one probe per *unique* row; equal rows
+        # share the entry their first occurrence found or computed.
+        rows, inverse = unique_rows(features)
         keys = feature_keys_batch(
-            features,
+            rows,
             fleet=self.fleet.fingerprint,
             predictor=self.predictor_tag,
         )
-        # Row-aligned request trace ids (the server's flush scope); used
-        # to stamp computed entries with their originating trace and to
-        # link each cache hit back to the trace that computed the entry.
-        row_traces: tuple[str, ...] = ()
+        # Request trace id of each unique row's first occurrence (the
+        # server's row-aligned flush scope); used to stamp computed
+        # entries with their originating trace and to link each cache hit
+        # back to the trace that computed the entry.
+        row_traces: list[str] = []
         if obs.enabled():
             ids = obs.active_trace_ids()
-            if len(ids) == len(keys):
-                row_traces = ids
+            if len(ids) == len(features):
+                for trace_id, row in zip(ids, inverse.tolist()):
+                    if row == len(row_traces):  # first sight of this row
+                        row_traces.append(trace_id)
         cache = self.cache if self.cache_active else None
-        decided: dict[tuple, CachedDecision | None] = {}
+        entries: list[CachedDecision | None] = [None] * len(keys)
         miss_rows: list[int] = []
         for index, key in enumerate(keys):
-            if key in decided:
-                continue
             entry = cache.get(key) if cache is not None else None
-            if entry is not None:
-                decided[key] = entry
-                if row_traces and entry.origin_trace is not None:
-                    obs.trace_link(row_traces[index], entry.origin_trace)
-            else:
+            if entry is None:
                 miss_rows.append(index)
-                decided[key] = None  # placeholder: computed below
+                continue
+            entries[index] = entry
+            if row_traces and entry.origin_trace is not None:
+                obs.trace_link(row_traces[index], entry.origin_trace)
         if miss_rows:
-            miss_features = features[miss_rows]
+            miss_features = rows[miss_rows]
             with obs.span(
                 "heteromap.predict_batch",
                 predictor=self.predictor_name,
@@ -378,15 +384,15 @@ class DecisionService:
                         else None
                     ),
                 )
-                decided[keys[row]] = entry
+                entries[row] = entry
                 if cache is not None:
                     cache.put(keys[row], entry)
         if obs.enabled():
-            obs.counter("serve.cache_hit", len(keys) - len(miss_rows))
+            obs.counter("serve.cache_hit", len(features) - len(miss_rows))
             obs.counter("serve.cache_miss", len(miss_rows))
             obs.histogram("serve.predict_batch_size", len(miss_rows))
             self._export_cache_stats()
-        return [decided[key] for key in keys]
+        return [entries[index] for index in inverse.tolist()]
 
     def _export_cache_stats(self) -> None:
         """Gauge the decision cache so ``repro-obs-report`` can show it."""

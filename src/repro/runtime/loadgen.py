@@ -15,7 +15,9 @@ Two trace families cover the paper-adjacent scenarios:
   that slams the admission queue during ON windows, exercising
   backpressure and the retry-after path.
 
-:func:`run_open_loop` drives a :class:`~repro.runtime.server.DecisionServer`
+:func:`run_open_loop` drives a serving front
+(:class:`~repro.runtime.front.BatchFront`: the in-process
+:class:`~repro.runtime.server.DecisionServer` or the shard router)
 with a trace over a workload pool and returns an :class:`OpenLoopReport`
 with sustained decisions/sec, latency/queue-wait percentiles, and
 admission accounting.  Traces are seeded and fully deterministic.
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.runtime.deploy import Workload
-from repro.runtime.server import DecisionServer
+from repro.runtime.front import BatchFront
 
 __all__ = [
     "OpenLoopReport",
@@ -144,7 +146,7 @@ class OpenLoopReport:
 
 
 async def run_open_loop(
-    server: DecisionServer,
+    server: BatchFront,
     arrivals: np.ndarray,
     workloads: Sequence[Workload],
     *,

@@ -61,6 +61,7 @@ from repro.core.online import (
     ExplorationConfig,
     OnlineAdapter,
 )
+from repro.runtime.front import BatchFront
 from repro.runtime.server import DecisionServer, ServerConfig, low_latency_gc
 from repro.runtime.shard import RouterConfig, ShardReport, ShardRouter, ShardSpec
 
@@ -125,7 +126,7 @@ def _parse_drift_inject(text: str) -> tuple[float, float, str]:
 def _write_artifact(
     path: Path,
     report: OpenLoopReport,
-    server: "DecisionServer | ShardRouter",
+    server: BatchFront,
     args,
     shard_report: ShardReport | None = None,
     adapter: OnlineAdapter | None = None,
@@ -379,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         # Sharded path: training happens inside every worker (same
         # spec + seed, so decisions stay bit-identical across shards
         # and to the single-process path).
-        server: "DecisionServer | ShardRouter" = ShardRouter(
+        server: BatchFront = ShardRouter(
             ShardSpec(
                 fleet=(args.pair[0], args.pair[1]),
                 predictor=args.predictor,

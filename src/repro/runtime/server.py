@@ -1,34 +1,25 @@
-"""Async serving front end: dynamic batching, backpressure, fairness.
+"""In-process serving front: dynamic batching over one decision service.
 
-``plan_batch`` made the *batch* path fast; this module gives that
-throughput an ingestion story.  :class:`DecisionServer` is an asyncio
-front end over one :class:`~repro.runtime.engine.decision.DecisionService`:
+:class:`DecisionServer` is the single-process
+:class:`~repro.runtime.front.BatchFront`: admission with backpressure,
+the dynamic batching window, per-tenant round-robin, trace minting, the
+feature-row memo and the stats all come from the shared front.  What the
+server adds is its dispatch step — it serves each assembled batch in
+process through one
+:class:`~repro.runtime.engine.decision.DecisionService`, according to
+``ServerConfig.mode``:
 
-* **dynamic batching window** — incoming workloads accumulate in
-  per-tenant queues and are flushed through **one** ``predict_batch``
-  forward (cache-deduped) when the window fills (``max_batch``) or the
-  oldest request hits the flush deadline, whichever comes first;
-* **backpressure** — admission is bounded by ``queue_capacity``; once
-  full, requests are *rejected with a retry-after hint* (derived from the
-  measured service rate) instead of queueing without bound.  Admitted
-  requests are never dropped: every one resolves by flush or by
-  :meth:`DecisionServer.drain`;
-* **per-tenant fairness** — flush assembly round-robins one request per
-  tenant per turn, so a bursty client saturates its own queue without
-  starving the others;
-* **observability** — p50/p99 decision-latency and queue-wait samples,
-  batch occupancy, and admit/reject counters accumulate in
-  :class:`ServerStats` and (when ``REPRO_OBS`` is on) stream into
-  :mod:`repro.obs` as ``server.*`` histograms and counters.
+* ``"plan"`` — memoized feature rows through ``choose_encoded`` (one
+  cache-deduped ``predict_batch`` forward); resolves to ``(spec,
+  config)``;
+* ``"decide"`` — ``decide_batch``; resolves to a fleet-costed
+  ``Decision``;
+* ``"run"`` — decide, place through the scheduler, execute on the
+  backend and audit; resolves to a ``RunOutcome``.
 
-Two request paths share the same flush machinery:
-
-* :meth:`DecisionServer.submit` — the awaitable path: returns the
-  request's result (a ``(spec, config)`` plan, a costed ``Decision``, or
-  an executed ``RunOutcome`` depending on ``ServerConfig.mode``);
-* :meth:`DecisionServer.try_submit` — the open-loop fast path used by the
-  load generator: no future allocation, an optional ``callback(tag,
-  result)`` for result delivery, ``False`` when admission is refused.
+Both request paths of the front apply: :meth:`~BatchFront.submit` (the
+awaitable path) and :meth:`~BatchFront.try_submit` (the open-loop fast
+path with an optional ``callback(tag, result)``).
 
 Decisions are bit-identical to the synchronous ``plan_batch`` path by
 construction — the flush drains through the same decision cache and the
@@ -40,8 +31,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -52,6 +42,13 @@ from repro.runtime.engine.contracts import RunOutcome
 from repro.runtime.engine.decision import DecisionService
 from repro.runtime.engine.execution import ExecutionBackend, SimulatedBackend
 from repro.runtime.engine.scheduler import POLICIES, Scheduler
+from repro.runtime.front import (
+    BatchFront,
+    FrontConfig,
+    ServerOverloadedError,
+    ServerStats,
+    _Request,
+)
 
 __all__ = [
     "DecisionServer",
@@ -88,42 +85,15 @@ def low_latency_gc() -> Iterator[None]:
         gc.unfreeze()
         gc.collect()
 
-#: Flush triggers, in the order the stats report them.
-FLUSH_REASONS = ("size", "deadline", "drain")
-
-
-class ServerOverloadedError(RuntimeError):
-    """Admission queue full: come back after ``retry_after_s`` seconds."""
-
-    def __init__(self, retry_after_s: float, pending: int) -> None:
-        super().__init__(
-            f"admission queue full ({pending} pending); "
-            f"retry after {retry_after_s:.4f}s"
-        )
-        self.retry_after_s = retry_after_s
-        self.pending = pending
-
-
 @dataclass(frozen=True)
-class ServerConfig:
-    """Tuning knobs for one :class:`DecisionServer`."""
+class ServerConfig(FrontConfig):
+    """Tuning knobs for one :class:`DecisionServer` (batching window
+    fields from :class:`~repro.runtime.front.FrontConfig`)."""
 
-    #: Flush as soon as this many requests are pending.
-    max_batch: int = 256
-    #: ... or when the oldest pending request has waited this long.
-    flush_deadline_ms: float = 2.0
-    #: Total pending requests (all tenants) before admission rejects.
-    #: Bounds how large an arrival burst the window absorbs between event
-    #: loop turns; beyond it, requests are refused with a retry-after hint.
-    queue_capacity: int = 8192
     #: What a request resolves to: ``"plan"`` → (spec, config), ``"decide"``
-    #: → both-device-costed :class:`Decision`, ``"run"`` → executed
+    #: → fleet-costed :class:`Decision`, ``"run"`` → executed
     #: :class:`RunOutcome` (audited when observability is on).
     mode: str = "plan"
-    #: Distinct workload *objects* whose encoded feature row is memoized
-    #: (hot pools re-submit the same prepared Workload, so the encode pass
-    #: — the single largest per-request cost — amortizes to a dict hit).
-    feature_memo_capacity: int = 4096
     #: Placement policy for ``"run"`` mode flushes (see
     #: :data:`repro.runtime.engine.scheduler.POLICIES`).  ``"solo"`` is
     #: bit-identical to executing each chosen estimate directly, so the
@@ -132,17 +102,7 @@ class ServerConfig:
     placement_policy: str = "solo"
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.flush_deadline_ms <= 0:
-            raise ValueError(
-                f"flush_deadline_ms must be > 0, got {self.flush_deadline_ms}"
-            )
-        if self.queue_capacity < self.max_batch:
-            raise ValueError(
-                "queue_capacity must be >= max_batch, got "
-                f"{self.queue_capacity} < {self.max_batch}"
-            )
+        super().__post_init__()
         if self.mode not in ("plan", "decide", "run"):
             raise ValueError(f"unknown server mode {self.mode!r}")
         if self.placement_policy not in POLICIES:
@@ -152,73 +112,7 @@ class ServerConfig:
             )
 
 
-@dataclass
-class ServerStats:
-    """Monotonic counters plus raw latency samples for one server."""
-
-    admitted: int = 0
-    rejected: int = 0
-    completed: int = 0
-    #: Admitted requests that will never resolve.  Stays 0 unless the
-    #: server is stopped with ``flush=False`` — rejection is the only
-    #: load-shedding mechanism, never silent drops.
-    dropped: int = 0
-    flushes: int = 0
-    flush_reasons: dict[str, int] = field(
-        default_factory=lambda: {reason: 0 for reason in FLUSH_REASONS}
-    )
-    #: Per-request decision latency (admission → result), milliseconds.
-    latencies_ms: list[float] = field(default_factory=list)
-    #: Per-request queue wait (admission → flush start), milliseconds.
-    queue_waits_ms: list[float] = field(default_factory=list)
-    #: Requests per flush (batch occupancy).
-    batch_sizes: list[int] = field(default_factory=list)
-    #: Per-tenant decision-latency samples (ms) — the raw series the
-    #: serve artifact's per-tenant p99 lines are derived from.
-    tenant_latencies_ms: dict[str, list[float]] = field(default_factory=dict)
-
-    def latency_percentile(self, q: float) -> float:
-        """The q-th percentile of decision latency in ms (0 when empty)."""
-        if not self.latencies_ms:
-            return 0.0
-        return float(np.percentile(self.latencies_ms, q))
-
-    def tenant_latency_percentile(self, tenant: str, q: float) -> float:
-        """One tenant's q-th latency percentile in ms (0 when unseen)."""
-        samples = self.tenant_latencies_ms.get(tenant)
-        if not samples:
-            return 0.0
-        return float(np.percentile(samples, q))
-
-    def queue_wait_percentile(self, q: float) -> float:
-        """The q-th percentile of queue wait in ms (0 when empty)."""
-        if not self.queue_waits_ms:
-            return 0.0
-        return float(np.percentile(self.queue_waits_ms, q))
-
-    @property
-    def mean_batch(self) -> float:
-        """Mean flush occupancy (0.0 before the first flush)."""
-        if not self.batch_sizes:
-            return 0.0
-        return sum(self.batch_sizes) / len(self.batch_sizes)
-
-
-class _Request:
-    """One admitted request (slotted: this is allocated per arrival)."""
-
-    __slots__ = ("tag", "workload", "arrival_s", "callback", "tenant", "trace")
-
-    def __init__(self, tag, workload, arrival_s, callback, tenant, trace) -> None:
-        self.tag = tag
-        self.workload = workload
-        self.arrival_s = arrival_s
-        self.callback = callback
-        self.tenant = tenant
-        self.trace = trace  # TraceContext | None (None when obs is off)
-
-
-class DecisionServer:
+class DecisionServer(BatchFront):
     """Dynamic-batching asyncio front end over one decision service."""
 
     def __init__(
@@ -230,302 +124,20 @@ class DecisionServer:
         scheduler: Scheduler | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        super().__init__(config or ServerConfig(), clock=clock)
         self.decisions = decisions
-        self.config = config or ServerConfig()
+        self.mode = self.config.mode
         self.backend: ExecutionBackend = backend or SimulatedBackend()
         #: Placement layer for ``"run"`` flushes; defaults to a scheduler
         #: over the decision service's own fleet.
         self.scheduler = scheduler or Scheduler(decisions.fleet)
-        self.clock = clock
-        self.stats = ServerStats()
-        self._queues: dict[str, deque[_Request]] = {}
-        self._rr: deque[str] = deque()  # tenant round-robin rotation
-        self._pending = 0
-        self._loop = None  # captured on start()
-        self._timer = None  # armed deadline flush, if any
-        self._size_flush_scheduled = False  # call_soon size flush armed
-        #: EWMA of flush service rate (requests/sec) for retry-after hints.
-        self._service_rate = 0.0
-        # id(workload) -> (workload, encoded row); the workload reference
-        # keeps the id stable, so the identity check below is exact.
-        self._feature_memo: dict[int, tuple[Workload, np.ndarray]] = {}
 
-    # -- lifecycle ---------------------------------------------------------
+    def _encode_row(self, workload: Workload) -> np.ndarray:
+        return self.decisions.encode([workload])[0]
 
-    def start(self) -> "DecisionServer":
-        """Bind to the running event loop (idempotent).
-
-        Must be called from within a running loop before requests are
-        submitted; ``async with server`` does it for you.
-        """
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        if self._loop is not None and self._loop is not loop:
-            raise RuntimeError("server already bound to a different loop")
-        self._loop = loop
-        return self
-
-    async def __aenter__(self) -> "DecisionServer":
-        return self.start()
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
-
-    async def stop(self, *, flush: bool = True) -> None:
-        """Cancel the deadline timer; flush (default) or drop the queue."""
-        self._cancel_timer()
-        if flush:
-            await self.drain()
-        else:
-            for queue in self._queues.values():
-                self.stats.dropped += len(queue)
-                queue.clear()
-            self._pending = 0
-
-    async def drain(self) -> None:
-        """Flush until nothing is pending (yields between flushes)."""
-        import asyncio
-
-        while self._pending:
-            self._flush("drain")
-            await asyncio.sleep(0)
-
-    def flush_now(self) -> int:
-        """Force one flush (tests / closed-loop probes); returns its size."""
-        if not self._pending:
-            return 0
-        return self._flush("drain")
-
-    # -- admission ---------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Requests admitted but not yet flushed."""
-        return self._pending
-
-    def retry_after_s(self) -> float:
-        """Backpressure hint: time for the backlog to drain at the
-        measured service rate (one deadline window before any flush has
-        calibrated the rate)."""
-        if self._service_rate <= 0.0:
-            return self.config.flush_deadline_ms / 1e3
-        return max(
-            self.config.flush_deadline_ms / 1e3,
-            self._pending / self._service_rate,
-        )
-
-    def try_submit(
-        self,
-        workload: Workload,
-        *,
-        tenant: str = "default",
-        tag=None,
-        callback: Callable | None = None,
-        arrival_s: float | None = None,
-    ) -> bool:
-        """Admit one request without allocating a future (the fast path).
-
-        Args:
-            workload: a prepared workload.
-            tenant: fairness bucket the request queues under.
-            tag: opaque token handed back to ``callback``.
-            callback: called as ``callback(tag, result)`` at flush time.
-            arrival_s: override the admission timestamp (server clock
-                domain) — open-loop drivers pass the *scheduled* arrival
-                so catch-up submission can't hide queueing delay.
-
-        Returns:
-            True when admitted; False when rejected by backpressure
-            (the caller should retry after :meth:`retry_after_s`).
-        """
-        if self._pending >= self.config.queue_capacity:
-            self.stats.rejected += 1
-            if obs.enabled():
-                obs.counter("server.rejected")
-            return False
-        self.stats.admitted += 1
-        request = _Request(
-            tag,
-            workload,
-            self.clock() if arrival_s is None else arrival_s,
-            callback,
-            tenant,
-            obs.mint_trace() if obs.enabled() else None,
-        )
-        queue = self._queues.get(tenant)
-        if queue is None:
-            queue = self._queues[tenant] = deque()
-            self._rr.append(tenant)
-        queue.append(request)
-        self._pending += 1
-        if self._pending >= self.config.max_batch:
-            # Bound to a loop, the size flush is *deferred* to the next
-            # loop turn instead of running inline: a catch-up burst can
-            # then keep admitting until ``queue_capacity`` — which is what
-            # makes the bounded queue (and rejection) real — and the
-            # backlog drains in max_batch chunks once the burst yields.
-            # Without a loop (synchronous callers) the flush runs inline.
-            if self._loop is None:
-                self._flush("size")
-            elif not self._size_flush_scheduled:
-                self._size_flush_scheduled = True
-                self._loop.call_soon(self._on_size_flush)
-        elif self._timer is None:
-            self._arm_timer()
-        return True
-
-    async def submit(self, workload: Workload, *, tenant: str = "default"):
-        """Admit one request and await its result.
-
-        Raises:
-            ServerOverloadedError: when backpressure rejects the request;
-                carries the ``retry_after_s`` hint.
-            NotTrainedError: at flush time, before the predictor is
-                trained (surfaces through the awaited future).
-        """
-        if self._loop is None:
-            self.start()
-        if self._pending >= self.config.queue_capacity:
-            retry = self.retry_after_s()
-            self.stats.rejected += 1
-            if obs.enabled():
-                obs.counter("server.rejected")
-            raise ServerOverloadedError(retry, self._pending)
-        future = self._loop.create_future()
-        self.try_submit(
-            workload,
-            tenant=tenant,
-            callback=lambda _tag, result, fut=future: (
-                None if fut.done() else fut.set_result(result)
-            ),
-        )
-        return await future
-
-    # -- batching window ---------------------------------------------------
-
-    def _arm_timer(self) -> None:
-        if self._loop is None:
-            return  # unbound (pure synchronous use): flush on size/drain
-        self._timer = self._loop.call_later(
-            self.config.flush_deadline_ms / 1e3, self._on_deadline
-        )
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _on_deadline(self) -> None:
-        self._timer = None
-        if self._pending:
-            self._flush("deadline")
-
-    def _on_size_flush(self) -> None:
-        self._size_flush_scheduled = False
-        while self._pending >= self.config.max_batch:
-            self._flush("size")
-
-    def _assemble(self) -> list[_Request]:
-        """Take up to ``max_batch`` pending requests, fairly.
-
-        Single active tenant drains FIFO (the fast path); multiple
-        tenants alternate one request per tenant per turn, so each of
-        ``k`` backlogged tenants gets ~``max_batch / k`` of every flush
-        no matter how deep one tenant's queue is.
-        """
-        count = min(self._pending, self.config.max_batch)
-        batch: list[_Request] = []
-        rotation = self._rr
-        if len(rotation) == 1:
-            queue = self._queues[rotation[0]]
-            for _ in range(count):
-                batch.append(queue.popleft())
-        else:
-            while len(batch) < count:
-                tenant = rotation[0]
-                rotation.rotate(-1)
-                queue = self._queues[tenant]
-                if queue:
-                    batch.append(queue.popleft())
-        self._pending -= len(batch)
-        return batch
-
-    def _encode_batch(self, batch: list[_Request]) -> np.ndarray:
-        """The batch's feature matrix, via the per-workload row memo."""
-        memo = self._feature_memo
-        rows = []
-        for request in batch:
-            workload = request.workload
-            entry = memo.get(id(workload))
-            if entry is None or entry[0] is not workload:
-                row = self.decisions.encode([workload])[0]
-                if len(memo) >= self.config.feature_memo_capacity:
-                    memo.clear()  # epoch reset: simplest bounded policy
-                memo[id(workload)] = (workload, row)
-            else:
-                row = entry[1]
-            rows.append(row)
-        return np.vstack(rows)
-
-    def _flush(self, reason: str) -> int:
-        """Drain one batch through the decision service synchronously."""
-        self._cancel_timer()
-        batch = self._assemble()
-        if not batch:
-            return 0
-        flush_start = self.clock()
-        if obs.enabled():
-            # Row-aligned request scope: every span below (flush, decide,
-            # predict, place, execute) carries the batch's trace ids, and
-            # the decision layer can attribute cache hits per row.
-            with obs.trace_scope([r.trace for r in batch]), obs.span(
-                "server.flush",
-                reason=reason,
-                batch=len(batch),
-                mode=self.config.mode,
-            ):
-                results = self._serve(batch)
-        else:
-            results = self._serve(batch)
-        done = self.clock()
-        stats = self.stats
-        stats.flushes += 1
-        stats.flush_reasons[reason] += 1
-        stats.batch_sizes.append(len(batch))
-        stats.completed += len(batch)
-        waits = stats.queue_waits_ms
-        lats = stats.latencies_ms
-        tenant_lats = stats.tenant_latencies_ms
-        for request in batch:
-            waits.append((flush_start - request.arrival_s) * 1e3)
-            latency = (done - request.arrival_s) * 1e3
-            lats.append(latency)
-            per_tenant = tenant_lats.get(request.tenant)
-            if per_tenant is None:
-                per_tenant = tenant_lats[request.tenant] = []
-            per_tenant.append(latency)
-        elapsed = done - flush_start
-        if elapsed > 0:
-            rate = len(batch) / elapsed
-            self._service_rate = (
-                rate
-                if self._service_rate <= 0.0
-                else 0.8 * self._service_rate + 0.2 * rate
-            )
-        if obs.enabled():
-            self._observe(batch, results, reason, flush_start, done)
-        for request, result in zip(batch, results):
-            if request.callback is not None:
-                request.callback(request.tag, result)
-        # The deadline clock restarts for whatever arrived mid-flush.
-        if self._pending and self._timer is None:
-            self._arm_timer()
-        return len(batch)
-
-    def _serve(self, batch: list[_Request]) -> list:
-        """Decide one assembled batch according to the configured mode."""
-        mode = self.config.mode
+    def _dispatch(self, batch: list[_Request], flush_start: float) -> list:
+        """Decide one assembled batch in process, per the configured mode."""
+        mode = self.mode
         if mode == "plan":
             entries = self.decisions.choose_encoded(self._encode_batch(batch))
             return [(entry.spec, entry.config) for entry in entries]
@@ -543,42 +155,32 @@ class DecisionServer:
             decisions, policy=self.config.placement_policy
         )
         outcomes: list[RunOutcome | None] = [None] * len(batch)
-        traced = obs.enabled()
         for placement in placements:
             deployed = placement.deployed
             request = batch[placement.order]
+            # Traces are only minted with obs on; without one, the span is
+            # the shared no-op and audit() only feeds the online adapter
+            # (when one is attached).
             scope = (
                 obs.trace_scope((request.trace,))
-                if traced and request.trace is not None
+                if request.trace is not None
                 else contextlib.nullcontext()
             )
             with scope:
-                if traced:
-                    with obs.span(
-                        "backend.execute",
-                        device=deployed.spec.name,
-                        backend=self.backend.name,
-                        tenant=request.tenant,
-                    ):
-                        result = self.backend.execute(
-                            placement.decision.workload,
-                            deployed.spec,
-                            deployed.config,
-                        )
-                    self.decisions.audit(
-                        placement.decision, deployed.spec, deployed.config, result
-                    )
-                else:
+                with obs.span(
+                    "backend.execute",
+                    device=deployed.spec.name,
+                    backend=self.backend.name,
+                    tenant=request.tenant,
+                ):
                     result = self.backend.execute(
                         placement.decision.workload,
                         deployed.spec,
                         deployed.config,
                     )
-                    # Without obs, audit() only feeds the online adapter
-                    # (when one is attached) and returns.
-                    self.decisions.audit(
-                        placement.decision, deployed.spec, deployed.config, result
-                    )
+                self.decisions.audit(
+                    placement.decision, deployed.spec, deployed.config, result
+                )
             outcomes[placement.order] = RunOutcome.from_execution(
                 placement.decision.workload,
                 deployed.spec,
@@ -587,55 +189,3 @@ class DecisionServer:
                 overhead_ms,
             )
         return outcomes
-
-    @staticmethod
-    def _shards(mode: str, results: list) -> list[str]:
-        """Per-row routed device names (the serving "shard" label)."""
-        if mode == "plan":
-            return [spec.name for spec, _config in results]
-        if mode == "decide":
-            return [decision.spec.name for decision in results]
-        return [outcome.chosen_accelerator for outcome in results]
-
-    def _observe(
-        self,
-        batch: list[_Request],
-        results: list,
-        reason: str,
-        flush_start: float,
-        done: float,
-    ) -> None:
-        """Stream this flush into the obs registry (enabled path only)."""
-        obs.counter("server.admitted", len(batch))
-        obs.counter("server.flush", reason=reason)
-        obs.histogram("server.batch_occupancy", len(batch))
-        shards = self._shards(self.config.mode, results)
-        routed: dict[tuple[str, str], int] = {}
-        tail = len(batch)
-        for request, shard, wait, latency in zip(
-            batch,
-            shards,
-            self.stats.queue_waits_ms[-tail:],
-            self.stats.latencies_ms[-tail:],
-        ):
-            obs.histogram("server.queue_wait_ms", wait)
-            obs.histogram("server.decision_latency_ms", latency)
-            obs.histogram(
-                "server.tenant_latency_ms", latency, tenant=request.tenant
-            )
-            key = (request.tenant, shard)
-            routed[key] = routed.get(key, 0) + 1
-            if request.trace is not None:
-                obs.record_span(
-                    "server.queue_wait",
-                    start_s=request.arrival_s,
-                    end_s=flush_start,
-                    trace_id=request.trace.trace_id,
-                    tenant=request.tenant,
-                )
-            obs.slo_observe("queue_wait_ms", wait)
-            obs.slo_observe("decision_latency_ms", latency)
-        for (tenant, shard), count in sorted(routed.items()):
-            obs.counter("server.requests", count, tenant=tenant, shard=shard)
-        obs.gauge("server.pending", self._pending)
-        obs.gauge("server.service_rate_per_sec", self._service_rate)

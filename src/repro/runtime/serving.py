@@ -18,6 +18,11 @@ the decoded deployment plus the raw predicted vector (kept for
 decision-audit records on hits).  :meth:`HeteroMap.plan_batch` dedupes a
 batch through it, runs one batched forward for the misses, and fans the
 results back out.
+
+:func:`unique_rows` is the one row dedupe the serving stack uses: the
+decision layer keys and probes the cache once per unique row, and the
+shard router ships each flush block as those unique rows plus the int32
+inverse that fans results back out.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "capacity_from_env",
     "feature_key",
     "feature_keys_batch",
+    "unique_rows",
 ]
 
 #: Default number of distinct feature tuples retained.  The discretized
@@ -139,6 +145,32 @@ def feature_keys_batch(
     else:
         prefix = (predictor,)  # type: ignore[assignment]
     return [(*prefix, *row) for row in rows]
+
+
+def unique_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dedupe an ``(n, k)`` feature matrix by exact row value.
+
+    Returns ``(rows, inverse)``: the distinct rows in first-occurrence
+    order and an int32 index with ``rows[inverse] == features``.  Rows
+    compare by their float64 byte image (signed zeros folded first, so
+    the grouping matches the float-equality of :func:`feature_key`).
+    First-occurrence order keeps whatever runs per unique row — cache
+    probes, LRU inserts, the batched forward — in input order.
+    """
+    features = np.ascontiguousarray(features, dtype=np.float64)
+    n = len(features)
+    if n < 2:
+        return features, np.zeros(n, dtype=np.int32)
+    keyed = features + 0.0  # -0.0 + 0.0 == +0.0: one byte image per value
+    row_bytes = np.dtype((np.void, keyed.itemsize * keyed.shape[1]))
+    _, first, inverse = np.unique(
+        keyed.view(row_bytes).ravel(), return_index=True, return_inverse=True
+    )
+    # np.unique numbers rows in byte order; renumber by first occurrence.
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return features[first[order]], rank[inverse.ravel()]
 
 
 @dataclass(frozen=True)

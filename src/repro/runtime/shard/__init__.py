@@ -10,10 +10,11 @@ fingerprint-keyed decision cache) — behind one admission layer:
   virtual nodes over the workload's discretized feature key, so equal
   workloads always land on the shard that already memoized their
   decision, and shard join/leave remaps only ~K/N keys;
-* :class:`~repro.runtime.shard.router.ShardRouter` — batched admission:
-  requests coalesce into per-shard flush blocks (deduped numpy feature
-  rows + request ids) shipped over multiprocessing queues, never
-  per-request IPC;
+* :class:`~repro.runtime.shard.router.ShardRouter` — the shared batching
+  front (:class:`~repro.runtime.front.BatchFront`) with a shard dispatch
+  step: each flushed batch splits by ring owner into flush blocks
+  (unique numpy feature rows + an int32 inverse) shipped over
+  multiprocessing queues, never per-request IPC;
 * :class:`~repro.runtime.shard.router.ShardReport` — the cross-shard
   rollup: per-shard serving stats, cache hit ratios, and per-device plan
   counts, labeled by shard.

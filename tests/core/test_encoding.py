@@ -14,6 +14,7 @@ from repro.core.encoding import (
     choice_signature,
     decode_config,
     decode_config_batch,
+    decode_config_for,
     encode_config,
     encode_features,
     encode_features_batch,
@@ -188,3 +189,20 @@ class TestBatchEncoding:
         vectors = np.tile(np.full(NUM_TARGETS, 0.4), (3, 1))
         decoded = decode_config_batch(vectors, GPU, PHI)
         assert decoded[0][1] is decoded[1][1] is decoded[2][1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_decode_batch_is_decode_for_on_each_rows_kind(self, seed):
+        """Row i equals decode_config_for(matrix, spec of row i's M1
+        kind)[i], including the M1 == 0.5 boundary (multicore)."""
+        rng = np.random.default_rng(seed)
+        vectors = rng.random((40, NUM_TARGETS))
+        vectors[::5, 0] = 0.5
+        decoded = decode_config_batch(vectors, GPU, PHI)
+        per_kind = {
+            GPU.name: decode_config_for(vectors, GPU),
+            PHI.name: decode_config_for(vectors, PHI),
+        }
+        assert sum(spec is PHI for spec, _ in decoded[::5]) == 8
+        for row, (spec, config) in enumerate(decoded):
+            assert spec is (PHI if vectors[row, 0] >= 0.5 else GPU)
+            assert config == per_kind[spec.name][row]

@@ -14,7 +14,7 @@ def decisions(trained, batch):
 
 @pytest.fixture()
 def scheduler(trained):
-    return Scheduler(trained.gpu, trained.multicore)
+    return Scheduler(trained.fleet)
 
 
 def _makespan(placements):

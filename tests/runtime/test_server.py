@@ -8,6 +8,7 @@ import gc
 import pytest
 
 from repro.core.heteromap import HeteroMap
+from repro.runtime import front
 from repro.runtime.deploy import prepare_workload
 from repro.runtime.server import (
     DecisionServer,
@@ -272,10 +273,10 @@ class TestCacheInteraction:
         # Same workload object: encoded once, memo-hit afterwards.
         assert len(calls) == 1
 
-    def test_memo_epoch_reset_bounded(self, hetero):
+    def test_memo_epoch_reset_bounded(self, hetero, monkeypatch):
+        monkeypatch.setattr(front, "FEATURE_MEMO_CAPACITY", 2)
         server = DecisionServer(
-            hetero.decisions,
-            ServerConfig(max_batch=1, queue_capacity=4, feature_memo_capacity=2),
+            hetero.decisions, ServerConfig(max_batch=1, queue_capacity=4)
         )
         workloads = [
             prepare_workload("pagerank", "facebook"),

@@ -17,6 +17,7 @@ from repro.runtime.serving import (
     DecisionCache,
     feature_key,
     feature_keys_batch,
+    unique_rows,
 )
 
 GPU = get_accelerator("gtx750ti")
@@ -50,6 +51,33 @@ class TestFeatureKey:
         matrix = np.array([[0.1, 0.2], [0.3, 0.4]])
         batch = feature_keys_batch(matrix, fleet="ffff")
         assert batch == [feature_key(row, fleet="ffff") for row in matrix]
+
+
+class TestUniqueRows:
+    def test_inverse_rebuilds_input_in_first_occurrence_order(self):
+        rng = np.random.default_rng(4)
+        pool = np.round(rng.random((6, 17)), 1)
+        features = pool[[3, 1, 3, 5, 1, 0, 3]]
+        rows, inverse = unique_rows(features)
+        assert inverse.dtype == np.int32
+        assert np.array_equal(rows[inverse], features)
+        assert np.array_equal(rows, pool[[3, 1, 5, 0]])
+        assert inverse.tolist() == [0, 1, 0, 2, 1, 3, 0]
+
+    def test_signed_zeros_are_one_row(self):
+        features = np.zeros((2, 17))
+        features[1, 4] = -0.0
+        rows, inverse = unique_rows(features)
+        assert len(rows) == 1
+        assert inverse.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_empty_and_single_row(self, count):
+        features = np.full((count, 17), 0.3)
+        rows, inverse = unique_rows(features)
+        assert rows.shape == (count, 17)
+        assert inverse.dtype == np.int32
+        assert inverse.tolist() == [0] * count
 
 
 class TestDecisionCache:

@@ -149,6 +149,10 @@ class TestMembership:
         with pytest.raises(ValueError):
             HashRing().add("")
 
+    def test_zero_vnodes_rejected(self):
+        with pytest.raises(ValueError):
+            HashRing(vnodes=0)
+
     def test_remove_non_member_raises(self):
         with pytest.raises(KeyError):
             HashRing(["a"]).remove("b")

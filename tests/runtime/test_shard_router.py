@@ -15,9 +15,11 @@ canonicalization caveats.
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import pytest
 
+import repro.obs as obs
 from repro.core.heteromap import HeteroMap
 from repro.machine.specs import DEFAULT_PAIR
 from repro.runtime.deploy import prepare_workload
@@ -63,7 +65,6 @@ class TestRouterConfig:
             {"max_batch": 0},
             {"flush_deadline_ms": 0.0},
             {"max_batch": 8, "queue_capacity": 4},
-            {"vnodes": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -193,6 +194,109 @@ class TestBackpressure:
 
         router = asyncio.run(scenario())
         assert router.stats.completed == 1
+
+
+class TestSharedFront:
+    """What the router runs on the shared batching front."""
+
+    def test_two_tenants_assemble_round_robin(self, pool):
+        router = make_router(max_batch=6, queue_capacity=16)
+        assembled: list[list[str]] = []
+        dispatch = router._dispatch
+
+        def spy(batch, flush_start):
+            assembled.append([request.tag for request in batch])
+            return dispatch(batch, flush_start)
+
+        router._dispatch = spy
+        router.launch()
+        delivered: list[str] = []
+        record = lambda tag, _r: delivered.append(tag)  # noqa: E731
+        try:
+            for tag in ("a1", "a2", "a3"):
+                router.try_submit(pool[0], tenant="a", tag=tag, callback=record)
+            for tag in ("b1", "b2"):
+                router.try_submit(pool[1], tenant="b", tag=tag, callback=record)
+            router.try_submit(pool[2], tenant="a", tag="a4", callback=record)
+            router.wait_idle()
+        finally:
+            router.close()
+        # The 6th admission hits max_batch; assembly alternates tenants.
+        assert assembled == [["a1", "b1", "a2", "b2", "a3", "a4"]]
+        assert router.stats.flush_reasons["size"] == 1
+        assert sorted(delivered) == ["a1", "a2", "a3", "a4", "b1", "b2"]
+
+    def test_burst_fills_capacity_before_size_flush(self, pool):
+        """Bound to a loop, the size flush is deferred, so a burst is
+        admitted up to queue_capacity before anything ships."""
+
+        async def scenario():
+            router = make_router(max_batch=4, queue_capacity=8)
+            async with router:
+                outcomes = [router.try_submit(pool[0]) for _ in range(10)]
+                flushes_during_burst = router.stats.flushes
+                retry = router.retry_after_s()
+            return router, outcomes, flushes_during_burst, retry
+
+        router, outcomes, flushes_during_burst, retry = asyncio.run(scenario())
+        assert flushes_during_burst == 0
+        assert outcomes.count(True) == 8
+        assert outcomes.count(False) == 2
+        assert router.stats.rejected == 2
+        assert retry > 0
+        assert router.stats.completed == 8
+        assert router.stats.dropped == 0
+
+    def test_counters_hold_under_thread_switching(self, pool):
+        """Admission writes ``dispatched``, the collector ``completed``:
+        with more workers than cores and a tiny switch interval, a lost
+        update would strand ``pending`` above zero or lose a result."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            router = make_router(shards=3, max_batch=4, queue_capacity=32)
+            router.launch()
+            delivered: list[int] = []
+            try:
+                for i in range(400):
+                    router.try_submit(
+                        pool[i % len(pool)],
+                        tenant=f"t{i % 3}",
+                        tag=i,
+                        callback=lambda tag, _r: delivered.append(tag),
+                    )
+                router.wait_idle(timeout_s=60.0)
+                assert router.pending == 0
+            finally:
+                report = router.close()
+        finally:
+            sys.setswitchinterval(interval)
+        stats = router.stats
+        assert stats.admitted + stats.rejected == 400
+        assert stats.completed == stats.admitted == len(set(delivered))
+        assert report.completed == stats.admitted
+
+    def test_requests_carry_minted_trace_ids(self, pool):
+        state = obs.configure(obs.ObsConfig(enabled=True))
+        try:
+            router = make_router()
+            router.launch()
+            try:
+                for i in range(6):
+                    assert router.try_submit(pool[i % len(pool)], tag=i)
+                router.wait_idle()
+            finally:
+                router.close()
+            flushes = [
+                r for r in state.tracer.records if r.name == "server.flush"
+            ]
+            trace_ids = [
+                trace_id for r in flushes for trace_id in r.attrs["trace_ids"]
+            ]
+            assert len(trace_ids) == 6
+            assert len(set(trace_ids)) == 6 and all(trace_ids)
+        finally:
+            obs.reset()
 
 
 class TestReport:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.benchmarking.bench_sweep import check_regressions, main
+from repro.core.training import _MIN_SAMPLES_PER_WORKER, available_cpus
 
 
 def run_main(tmp_path, *extra):
@@ -124,6 +125,20 @@ class TestRegressionCheck:
         }
         assert check_regressions({}, above) == []
 
+    def test_regret_free_adaptive_tail_passes_floor(self):
+        baseline = {"adaptation_loop": {"regret_improvement_ratio": 40.0}}
+        regret_free = {"adaptation_loop": {"adaptive_tail_regret_free": True}}
+        assert check_regressions({}, regret_free) == []
+        assert check_regressions(baseline, regret_free) == []
+
+    def test_finite_ratio_below_floor_fails(self):
+        below = {"adaptation_loop": {"regret_improvement_ratio": 1.2}}
+        flagged = check_regressions({}, below)
+        assert len(flagged) == 1
+        assert "floor" in flagged[0]
+        above = {"adaptation_loop": {"regret_improvement_ratio": 3.0}}
+        assert check_regressions({}, above) == []
+
 
 class TestSectionSelection:
     def test_partial_run_merges_over_baseline(self, tmp_path):
@@ -139,7 +154,13 @@ class TestSectionSelection:
         assert rc == 0
         merged = json.loads(output.read_text())
         assert merged["lattice_sweep"]["sentinel"] == 123
-        assert merged["db_build"]["num_samples"] == 2
+        db_build = merged["db_build"]
+        assert db_build["requested_samples"] == 2
+        # A host that can really parallelize the --workers 2 build raises
+        # the sample count to the samples-per-worker amortization floor.
+        clamped = min(2, available_cpus())
+        floor = clamped * _MIN_SAMPLES_PER_WORKER if clamped >= 2 else 2
+        assert db_build["num_samples"] == max(2, floor)
 
     def test_predict_throughput_payload(self, tmp_path):
         rc, output = run_main(
