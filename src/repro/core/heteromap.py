@@ -279,31 +279,12 @@ class HeteroMap:
     def run_workload(self, workload: Workload) -> RunOutcome:
         """Schedule and execute a prepared workload.
 
-        With observability enabled, every call also emits a
-        :class:`repro.obs.DecisionRecord`: the (B, I) inputs, the chosen
-        deployment, its predicted time/energy/utilization, and the margin
-        over the runner-up accelerator (the decision layer's estimate of
-        the same predicted knob vector with the M1 bit flipped).
+        A one-item ``solo`` fleet run: decide, place on the predicted
+        device, execute, and audit (with observability enabled, a
+        :class:`repro.obs.DecisionRecord` under a freshly minted trace
+        id).
         """
-        overhead_ms = self.decisions.require_trained()
-        with obs.span(
-            "heteromap.run_workload",
-            benchmark=workload.benchmark,
-            dataset=workload.dataset,
-        ) as span:
-            decision = self.decisions.decide(workload)
-            result = self.engine.backend.execute(
-                workload, decision.spec, decision.config
-            )
-            span.set(chosen=decision.spec.name)
-            # Unconditional: with obs off this only feeds the online
-            # adapter (when attached), otherwise it is a cheap branch.
-            self.decisions.audit(
-                decision, decision.spec, decision.config, result
-            )
-        return RunOutcome.from_execution(
-            workload, decision.spec, decision.config, result, overhead_ms
-        )
+        return self.engine.run_fleet([workload], policy="solo").outcomes[0]
 
     # -- batched serving ---------------------------------------------------
 

@@ -37,6 +37,7 @@ observatory (PR 8) opened.  Three cooperating pieces:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
@@ -261,6 +262,10 @@ class OnlineAdapter:
         self.shadow_evaluations = 0
         self.promotions = 0
         self.discards = 0
+        #: Outcomes refused because the observed time was not a finite
+        #: positive number (one such value would poison the ratio EWMA
+        #: and the detector's running mean for good).
+        self.rejected_observations = 0
 
     # -- the observation fold ---------------------------------------------
 
@@ -270,9 +275,16 @@ class OnlineAdapter:
         spec: AcceleratorSpec,
         result: SimulationResult,
     ) -> None:
-        """Fold one executed placement into the adaptation state."""
+        """Fold one executed placement into the adaptation state.
+
+        An observed time that is NaN, infinite or not positive is counted
+        in :attr:`rejected_observations` and otherwise ignored.
+        """
         estimated = decision.estimate_for(spec.name).time_ms
         observed = result.time_ms
+        if not 0.0 < observed < math.inf:  # False for NaN too
+            self.rejected_observations += 1
+            return
         if estimated <= 0.0:
             return
         self.observations += 1
@@ -456,6 +468,7 @@ class OnlineAdapter:
             "shadow_active": self.shadow_active,
             "promotions": self.promotions,
             "discards": self.discards,
+            "rejected_observations": self.rejected_observations,
             "generation": self.service.generation,
             "buffer_rows": len(self._buffer),
             "ratios": self.ratios(),

@@ -8,7 +8,7 @@ paths.  Four pieces:
 2. **Metrics registry** — counters, gauges, and histograms
    (``obs.counter("trace_cache.hit")``), exportable as a
    Prometheus-style text snapshot.
-3. **Decision-audit log** — every ``HeteroMap.run_workload`` emits a
+3. **Decision-audit log** — every executed placement emits a
    structured record of the (B, I) inputs, chosen M-configuration,
    predicted time/energy/utilization, and the margin over the runner-up
    accelerator.

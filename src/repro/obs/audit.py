@@ -1,13 +1,14 @@
 """Decision-audit records: why the predictor deployed where it did.
 
-Every scheduled execution (``HeteroMap.run_workload``) emits one
-:class:`DecisionRecord` when observability is on: the (B, I) feature
-inputs, the chosen accelerator and M-configuration, the model-predicted
-time/energy/utilization of that deployment, and the margin over the
-runner-up accelerator (the same predicted knob vector decoded onto the
-*other* device).  This is the artifact a scheduler run (Figure 11) needs
-to be debugged: a near-zero margin flags a coin-flip decision, a large
-negative margin flags a mispredict.
+Every executed placement (``Engine.run_fleet``, which every run path
+goes through) emits one :class:`DecisionRecord` when observability is
+on: the (B, I) feature inputs, the chosen accelerator and
+M-configuration, the model-predicted time/energy/utilization of that
+deployment, and the margin over the runner-up accelerator (the same
+predicted knob vector decoded onto the best *other* fleet device).
+This is the artifact a scheduler run (Figure 11) needs to be debugged:
+a near-zero margin flags a coin-flip decision, a large negative margin
+flags a mispredict.
 
 The schema is frozen in :data:`DECISION_FIELDS`; the audit tests pin
 ``as_dict`` to it so downstream consumers (the report CLI, external

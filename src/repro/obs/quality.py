@@ -26,6 +26,7 @@ side channels that never influence the fold.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -149,7 +150,9 @@ class RegretTracker:
         self.metrics = metrics
         self.slos = slos
         self.observed = 0
-        self.skipped = 0  # records without an estimate vector (pre-PR-8)
+        #: Records without an estimate vector (pre-PR-8) or without a
+        #: finite positive observed time.
+        self.skipped = 0
         self.explored = 0  # exploration probes (costed, never executed)
         self._windows: dict[tuple[str, str], deque[tuple[float, float, bool]]] = {}
         self._devices: dict[str, list[int]] = {}  # name -> [placed, mispicks]
@@ -165,11 +168,14 @@ class RegretTracker:
         Records missing the per-device estimate vector (audits written
         before the vector was part of the schema) are counted in
         :attr:`skipped` and otherwise ignored, so replays over mixed
-        streams stay well-defined.  Exploration probes (``explored`` set
-        — absent from pre-v2 records, so old streams are unaffected) are
-        counted in :attr:`explored` and kept out of the placement fold:
-        they were never executed, so folding them would corrupt the
-        regret windows and break online/offline replay exactness.
+        streams stay well-defined; so are records whose observed time is
+        NaN, infinite or not positive, which would otherwise poison the
+        drift detector and the error EWMA for good.  Exploration probes
+        (``explored`` set — absent from pre-v2 records, so old streams
+        are unaffected) are counted in :attr:`explored` and kept out of
+        the placement fold: they were never executed, so folding them
+        would corrupt the regret windows and break online/offline replay
+        exactness.
         """
         if record.get("explored"):
             self.explored += 1
@@ -193,6 +199,10 @@ class RegretTracker:
             return None
         costs = [float(c) for c in costs]
         chosen_cost = costs[chosen_index]
+        observed = float(record.get("observed_time_ms", chosen_cost))
+        if not 0.0 < observed < math.inf:  # NaN, inf or <= 0: no signal
+            self.skipped += 1
+            return None
         oracle_index = min(
             range(len(costs)), key=lambda i: (costs[i], devices[i])
         )
@@ -200,7 +210,6 @@ class RegretTracker:
         regret_oracle = chosen_cost - oracle_cost
         mispick = oracle_index != chosen_index and regret_oracle > _TIE_EPS
         runner_up = float(record.get("runner_up_time_ms", 0.0))
-        observed = float(record.get("observed_time_ms", chosen_cost))
         error_ms = observed - chosen_cost
         error_frac = error_ms / chosen_cost if chosen_cost > 0 else 0.0
 

@@ -5,14 +5,16 @@ a stable dataclass contract (``Workload → Decision → Placement →
 Outcome``, :mod:`repro.runtime.engine.contracts`):
 
 * **decision** (:class:`DecisionService`) — cached batched prediction,
-  costed on *both* accelerators;
+  costed on *every* fleet device;
 * **placement** (:class:`Scheduler`) — ``solo`` / ``load-aware`` /
   ``makespan`` policies over per-device clocks;
 * **execution** (:class:`ExecutionBackend`) — pluggable deployment of
   the placed batch, reported as a :class:`FleetReport`.
 
-``HeteroMap`` composes the three; use the pieces directly to build
-custom fleets (different policies, injected backends).
+:class:`Engine` composes the three in the one run loop every execution
+goes through (``HeteroMap.run_workload``/``run_many``/``run_fleet`` and
+the serving front's run mode); use the pieces directly to build custom
+fleets (different policies, injected backends).
 """
 
 from repro.runtime.engine.contracts import (

@@ -222,16 +222,22 @@ class DecisionService:
         return self.cache is not None and self.predictor.prefer_decision_cache
 
     def plan_batch(
-        self, workloads: Sequence[Workload]
+        self,
+        workloads: Sequence[Workload],
+        features: np.ndarray | None = None,
     ) -> list[tuple[AcceleratorSpec, MachineConfig]]:
         """Predict deployments for a batch in one cached forward pass.
+
+        ``features`` is the batch's encoded matrix when the caller already
+        has it (the serving front's memoized rows); otherwise the batch
+        is encoded here.
 
         When an exploration policy is attached, low-confidence rows are
         additionally probe-costed on every fleet device (simulate-only)
         and recorded in the audit stream; the returned plans themselves
         are untouched, so exploration never changes what is served.
         """
-        entries, features = self._choose_batch(workloads)
+        entries, features = self._choose_batch(workloads, features)
         if self.exploration is not None:
             self._explore_low_confidence(workloads, entries, features)
         return [(entry.spec, entry.config) for entry in entries]
@@ -279,10 +285,13 @@ class DecisionService:
         return encode_features_batch([(w.bvars, w.ivars) for w in workloads])
 
     def _choose_batch(
-        self, workloads: Sequence[Workload]
+        self,
+        workloads: Sequence[Workload],
+        features: np.ndarray | None = None,
     ) -> tuple[list[CachedDecision], np.ndarray]:
         """Cache-dedupe a batch and run one forward pass for the misses."""
-        features = self.encode(workloads)
+        if features is None:
+            features = self.encode(workloads)
         return self.choose_encoded(features), features
 
     def choose_encoded(self, features: np.ndarray) -> list[CachedDecision]:
@@ -293,8 +302,9 @@ class DecisionService:
         deduped with :func:`~repro.runtime.serving.unique_rows`, each
         unique row is keyed and probed once (first-occurrence order), and
         its entry fans back out to every equal row.  The serving fronts
-        call this directly with memoized feature rows, skipping the
-        encode pass for hot workloads.
+        reach it with memoized feature rows (the server through
+        :meth:`plan_batch`, shard workers directly), skipping the encode
+        pass for hot workloads.
 
         The plan tier is feature-pure, so decoding anchors on the fleet
         primaries; cache keys carry the fleet fingerprint, so a cache
@@ -497,14 +507,7 @@ class DecisionService:
 
         ``spec``/``config``/``result`` describe the deployment that
         actually ran (the scheduler may have overridden the predictor's
-        choice); the runner-up column is the decision's best estimate on
-        any *other* device, so a ``solo`` placement audits exactly like
-        the pre-fleet pair path did.
-
-        The record also carries the quality-observatory fields: the full
-        per-device cost vector (the regret counterfactual), the executed
-        time as ``observed_time_ms``, and the active request trace id
-        when the placement ran under one.
+        choice); the executed time is the record's ``observed_time_ms``.
 
         Call sites invoke this unconditionally: the attached online
         adapter (when any) observes every outcome even with observability
@@ -513,66 +516,62 @@ class DecisionService:
         """
         if self.adapter is not None:
             self.adapter.observe(decision, spec, result)
-        if not obs.enabled():
-            return
-        runner_up = decision.runner_up_excluding(spec.name, self.metric)
-        trace = obs.current_trace()
-        obs.record_decision(
-            obs.DecisionRecord(
-                benchmark=decision.workload.benchmark,
-                dataset=decision.workload.dataset,
-                predictor=self.predictor_name,
-                metric=self.metric,
-                features=decision.features,
-                chosen_accelerator=spec.name,
-                config=obs.config_summary(config, is_gpu=spec.is_gpu),
-                predicted_time_ms=result.time_ms,
-                predicted_energy_j=result.energy_j,
-                predicted_utilization=result.utilization,
-                runner_up_accelerator=runner_up.spec.name,
-                runner_up_time_ms=runner_up.time_ms,
-                devices=tuple(e.spec.name for e in decision.estimates),
-                costs_ms=decision.costs_ms,
-                observed_time_ms=result.time_ms,
-                trace_id=trace.trace_id if trace is not None else None,
-                confidence=decision.confidence,
-                explored=decision.explored,
+        if obs.enabled():
+            obs.record_decision(
+                self._record(decision, spec, config, result, result.time_ms)
             )
-        )
 
     def _audit_probe(self, decision: Decision) -> None:
         """Record one exploration probe in the audit stream.
 
-        Probes never execute, so there is no observed time; the record
-        carries the full simulate-only cost vector and ``explored=True``
-        so the quality observatory counts it separately from placements.
+        Probes never execute: the record describes the chosen estimate,
+        has no observed time, and carries ``explored=True`` so the
+        quality observatory counts it apart from placements.  The online
+        adapter never sees a probe.
         """
-        if not obs.enabled():
-            return
-        chosen = decision.chosen
-        runner_up = decision.estimates[decision.runner_up_index]
-        trace = obs.current_trace()
-        obs.record_decision(
-            obs.DecisionRecord(
-                benchmark=decision.workload.benchmark,
-                dataset=decision.workload.dataset,
-                predictor=self.predictor_name,
-                metric=self.metric,
-                features=decision.features,
-                chosen_accelerator=chosen.spec.name,
-                config=obs.config_summary(
-                    chosen.config, is_gpu=chosen.spec.is_gpu
-                ),
-                predicted_time_ms=chosen.time_ms,
-                predicted_energy_j=chosen.energy_j,
-                predicted_utilization=chosen.result.utilization,
-                runner_up_accelerator=runner_up.spec.name,
-                runner_up_time_ms=runner_up.time_ms,
-                devices=tuple(e.spec.name for e in decision.estimates),
-                costs_ms=decision.costs_ms,
-                observed_time_ms=None,
-                trace_id=trace.trace_id if trace is not None else None,
-                confidence=decision.confidence,
-                explored=True,
+        if obs.enabled():
+            chosen = decision.chosen
+            obs.record_decision(
+                self._record(
+                    decision, chosen.spec, chosen.config, chosen.result, None
+                )
             )
+
+    def _record(
+        self,
+        decision: Decision,
+        spec: AcceleratorSpec,
+        config: MachineConfig,
+        result: SimulationResult,
+        observed_time_ms: float | None,
+    ) -> obs.DecisionRecord:
+        """The audit record of ``decision`` deployed as (spec, config).
+
+        ``result`` gives the predicted columns; the runner-up is the
+        decision's best estimate on any *other* device, and the full
+        per-device cost vector is the quality observatory's regret
+        counterfactual.  The active request trace id is attached when
+        there is one.
+        """
+        runner_up = decision.runner_up_excluding(spec.name, self.metric)
+        trace = obs.current_trace()
+        return obs.DecisionRecord(
+            benchmark=decision.workload.benchmark,
+            dataset=decision.workload.dataset,
+            predictor=self.predictor_name,
+            metric=self.metric,
+            features=decision.features,
+            chosen_accelerator=spec.name,
+            config=obs.config_summary(config, is_gpu=spec.is_gpu),
+            predicted_time_ms=result.time_ms,
+            predicted_energy_j=result.energy_j,
+            predicted_utilization=result.utilization,
+            runner_up_accelerator=runner_up.spec.name,
+            runner_up_time_ms=runner_up.time_ms,
+            devices=tuple(e.spec.name for e in decision.estimates),
+            costs_ms=decision.costs_ms,
+            observed_time_ms=observed_time_ms,
+            trace_id=trace.trace_id if trace is not None else None,
+            confidence=decision.confidence,
+            explored=decision.explored,
         )

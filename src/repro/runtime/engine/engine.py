@@ -73,19 +73,10 @@ class Engine:
         ) as span:
             decisions = self.decisions.decide_batch(list(workloads))
             placements = self.scheduler.place(decisions, policy=policy)
-            outcomes = []
-            for placement in placements:  # input order: audits line up
-                deployed = placement.deployed
-                result = self._execute(placement, contexts)
-                outcomes.append(
-                    RunOutcome.from_execution(
-                        placement.decision.workload,
-                        deployed.spec,
-                        deployed.config,
-                        result,
-                        overhead_ms,
-                    )
-                )
+            outcomes = [  # input order: audits line up
+                self._execute(placement, contexts, overhead_ms)
+                for placement in placements
+            ]
             report = self._report(
                 policy, placements, outcomes, overhead_ms
             )
@@ -105,27 +96,23 @@ class Engine:
                     )
         return report
 
-    def _execute(self, placement, contexts):
-        """Run one placement under its request trace (if any) and audit it."""
+    def _execute(
+        self,
+        placement: Placement,
+        contexts: "tuple[obs.TraceContext, ...]",
+        overhead_ms: float,
+    ) -> RunOutcome:
+        """Run one placement under its request trace and audit it.
+
+        With obs off ``contexts`` is empty, so the scope is a
+        ``nullcontext`` and the span the shared no-op; audit() still runs,
+        because an attached online adapter must observe every outcome.
+        """
         deployed = placement.deployed
-        if not obs.enabled():
-            result = self.backend.execute(
-                placement.decision.workload, deployed.spec, deployed.config
-            )
-            # audit() is a cheap no-op without obs *or* adapter, and the
-            # attached online adapter must observe every outcome.
-            self.decisions.audit(
-                placement.decision, deployed.spec, deployed.config, result
-            )
-            return result
-        context = (
-            contexts[placement.order]
-            if placement.order < len(contexts)
-            else None
-        )
+        workload = placement.decision.workload
         scope = (
-            obs.trace_scope((context,))
-            if context is not None
+            obs.trace_scope((contexts[placement.order],))
+            if contexts
             else nullcontext()
         )
         with scope:
@@ -135,12 +122,14 @@ class Engine:
                 backend=self.backend.name,
             ):
                 result = self.backend.execute(
-                    placement.decision.workload, deployed.spec, deployed.config
+                    workload, deployed.spec, deployed.config
                 )
             self.decisions.audit(
                 placement.decision, deployed.spec, deployed.config, result
             )
-        return result
+        return RunOutcome.from_execution(
+            workload, deployed.spec, deployed.config, result, overhead_ms
+        )
 
     def _report(
         self,

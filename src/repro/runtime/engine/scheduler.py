@@ -27,7 +27,7 @@ policies are deterministic for a fixed batch order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.machine.fleet import Fleet
@@ -66,16 +66,6 @@ class Scheduler:
 
     def __init__(self, fleet: Fleet) -> None:
         self.fleet = fleet
-
-    @property
-    def gpu(self) -> AcceleratorSpec:
-        """The fleet's reference GPU."""
-        return self.fleet.primary_gpu
-
-    @property
-    def multicore(self) -> AcceleratorSpec:
-        """The fleet's reference multicore."""
-        return self.fleet.primary_multicore
 
     def place(
         self, decisions: "list[Decision]", *, policy: str = "solo"

@@ -9,13 +9,17 @@ process through one
 :class:`~repro.runtime.engine.decision.DecisionService`, according to
 ``ServerConfig.mode``:
 
-* ``"plan"`` — memoized feature rows through ``choose_encoded`` (one
-  cache-deduped ``predict_batch`` forward); resolves to ``(spec,
-  config)``;
+* ``"plan"`` — ``plan_batch`` over the memoized feature rows (one
+  cache-deduped ``predict_batch`` forward, plus exploration probes when
+  a policy is attached); resolves to ``(spec, config)``;
 * ``"decide"`` — ``decide_batch``; resolves to a fleet-costed
   ``Decision``;
-* ``"run"`` — decide, place through the scheduler, execute on the
-  backend and audit; resolves to a ``RunOutcome``.
+* ``"run"`` — :meth:`~repro.runtime.engine.engine.Engine.run_fleet`
+  under ``ServerConfig.placement_policy`` (decide, place, execute,
+  audit); resolves to a ``RunOutcome``.
+
+Each mode is one call into the same tier the synchronous API uses, so
+the server has no decision, placement or audit logic of its own.
 
 Both request paths of the front apply: :meth:`~BatchFront.submit` (the
 awaitable path) and :meth:`~BatchFront.try_submit` (the open-loop fast
@@ -36,11 +40,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro import obs
 from repro.runtime.deploy import Workload
-from repro.runtime.engine.contracts import RunOutcome
 from repro.runtime.engine.decision import DecisionService
-from repro.runtime.engine.execution import ExecutionBackend, SimulatedBackend
+from repro.runtime.engine.engine import Engine
+from repro.runtime.engine.execution import ExecutionBackend
 from repro.runtime.engine.scheduler import POLICIES, Scheduler
 from repro.runtime.front import (
     BatchFront,
@@ -127,65 +130,35 @@ class DecisionServer(BatchFront):
         super().__init__(config or ServerConfig(), clock=clock)
         self.decisions = decisions
         self.mode = self.config.mode
-        self.backend: ExecutionBackend = backend or SimulatedBackend()
-        #: Placement layer for ``"run"`` flushes; defaults to a scheduler
-        #: over the decision service's own fleet.
-        self.scheduler = scheduler or Scheduler(decisions.fleet)
+        #: Runs ``"run"`` flushes; the scheduler defaults to one over the
+        #: decision service's own fleet.
+        self.engine = Engine(
+            decisions, scheduler or Scheduler(decisions.fleet), backend
+        )
+
+    @property
+    def backend(self) -> ExecutionBackend:
+        """The execution backend the engine drains placements through."""
+        return self.engine.backend
+
+    @property
+    def scheduler(self) -> Scheduler:
+        """The placement layer the engine schedules flushes with."""
+        return self.engine.scheduler
 
     def _encode_row(self, workload: Workload) -> np.ndarray:
         return self.decisions.encode([workload])[0]
 
     def _dispatch(self, batch: list[_Request], flush_start: float) -> list:
-        """Decide one assembled batch in process, per the configured mode."""
-        mode = self.mode
-        if mode == "plan":
-            entries = self.decisions.choose_encoded(self._encode_batch(batch))
-            return [(entry.spec, entry.config) for entry in entries]
+        """Serve one assembled batch in process, per the configured mode."""
         workloads = [request.workload for request in batch]
-        decisions = self.decisions.decide_batch(workloads)
-        if mode == "decide":
-            return decisions
-        overhead_ms = self.decisions.require_trained()
-        # Run mode routes through the placement layer.  Under the default
-        # "solo" policy every placement is the chosen estimate in input
-        # order, so outcomes are bit-identical to executing decisions
-        # directly — the scheduler only adds the placement span/metrics
-        # and, under a fleet policy, load-aware device assignment.
-        placements = self.scheduler.place(
-            decisions, policy=self.config.placement_policy
+        if self.mode == "plan":
+            return self.decisions.plan_batch(
+                workloads, self._encode_batch(batch)
+            )
+        if self.mode == "decide":
+            return self.decisions.decide_batch(workloads)
+        report = self.engine.run_fleet(
+            workloads, policy=self.config.placement_policy
         )
-        outcomes: list[RunOutcome | None] = [None] * len(batch)
-        for placement in placements:
-            deployed = placement.deployed
-            request = batch[placement.order]
-            # Traces are only minted with obs on; without one, the span is
-            # the shared no-op and audit() only feeds the online adapter
-            # (when one is attached).
-            scope = (
-                obs.trace_scope((request.trace,))
-                if request.trace is not None
-                else contextlib.nullcontext()
-            )
-            with scope:
-                with obs.span(
-                    "backend.execute",
-                    device=deployed.spec.name,
-                    backend=self.backend.name,
-                    tenant=request.tenant,
-                ):
-                    result = self.backend.execute(
-                        placement.decision.workload,
-                        deployed.spec,
-                        deployed.config,
-                    )
-                self.decisions.audit(
-                    placement.decision, deployed.spec, deployed.config, result
-                )
-            outcomes[placement.order] = RunOutcome.from_execution(
-                placement.decision.workload,
-                deployed.spec,
-                deployed.config,
-                result,
-                overhead_ms,
-            )
-        return outcomes
+        return list(report.outcomes)

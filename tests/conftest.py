@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,28 @@ def _isolated_trace_cache(tmp_path_factory):
     os.environ["REPRO_CACHE_DIR"] = str(cache)
     yield
     os.environ.pop("REPRO_CACHE_DIR", None)
+
+
+class _ForgedTimeBackend:
+    """Executes through ``inner``, then reports ``time_ms`` as observed."""
+
+    name = "forged"
+
+    def __init__(self, inner, time_ms: float) -> None:
+        self.inner = inner
+        self.time_ms = time_ms
+
+    def execute(self, workload, spec, config):
+        result = self.inner.execute(workload, spec, config)
+        return replace(result, cost=replace(result.cost, time_s=self.time_ms / 1e3))
+
+
+@pytest.fixture
+def forged_time_backend():
+    """Factory ``(inner_backend, time_ms) -> backend`` that forges every
+    executed time — how tests feed NaN, infinite or non-positive
+    outcomes to the observation folds."""
+    return _ForgedTimeBackend
 
 
 @pytest.fixture

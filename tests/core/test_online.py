@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -330,3 +332,46 @@ class TestAdapterLoop:
             "ratios",
         ):
             assert key in summary
+
+
+class TestRejectedObservations:
+    """A NaN, infinite or non-positive observed time never enters the fold."""
+
+    @pytest.fixture(scope="class")
+    def hetero(self):
+        hetero = HeteroMap.with_default_pair(predictor="cart", seed=0)
+        hetero.train(num_samples=40, seed=0)
+        return hetero
+
+    @staticmethod
+    def _state(adapter: OnlineAdapter) -> tuple:
+        return (
+            adapter.ratios(),
+            dict(vars(adapter.detector)),
+            len(adapter._buffer),
+            adapter.observations,
+            adapter.promotions,
+        )
+
+    @pytest.mark.parametrize("forged", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_time_through_run_many(
+        self, hetero, forged, forged_time_backend
+    ):
+        adapter = hetero.enable_adaptation(AdaptationConfig(drift_min_samples=2))
+        workloads = [prepare_workload(*item) for item in TestAdapterLoop.STREAM]
+        hetero.run_many(workloads)
+        before = self._state(adapter)
+        assert adapter.rejected_observations == 0
+        inner = hetero.engine.backend
+        hetero.engine.backend = forged_time_backend(inner, forged)
+        try:
+            hetero.run_many(workloads * 2)
+        finally:
+            hetero.engine.backend = inner
+        assert self._state(adapter) == before
+        assert adapter.rejected_observations == 2 * len(workloads)
+        assert adapter.summary()["rejected_observations"] == 2 * len(workloads)
+        # The fold still works afterwards.
+        hetero.run_many(workloads)
+        assert adapter.observations == 2 * len(workloads)
+        assert all(math.isfinite(r) for r in adapter.ratios().values())

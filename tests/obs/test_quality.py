@@ -9,11 +9,14 @@ quality analysis.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 import repro.obs as obs
+from repro.core.heteromap import HeteroMap
 from repro.obs.quality import DriftDetector, RegretTracker, replay_audit
+from repro.runtime.deploy import prepare_workload
 
 
 def record(
@@ -157,6 +160,51 @@ class TestRegretTracker:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RegretTracker(**kwargs)
+
+
+class TestBadObservedTimes:
+    """A NaN, infinite or non-positive observed time is skipped, not folded."""
+
+    @pytest.fixture(scope="class")
+    def hetero(self):
+        hetero = HeteroMap.with_default_pair(predictor="cart", seed=0)
+        hetero.train(num_samples=40, seed=0)
+        return hetero
+
+    @staticmethod
+    def _state(tracker: RegretTracker) -> tuple:
+        summary = tracker.summary()
+        summary.pop("skipped")
+        detectors = {name: dict(vars(d)) for name, d in tracker._drift.items()}
+        return summary, detectors, dict(tracker._ewma)
+
+    def test_record_skipped(self):
+        tracker = RegretTracker()
+        for observed in (math.nan, math.inf, -1.0, 0.0):
+            assert tracker.observe_record(record(observed=observed)) is None
+        assert tracker.skipped == 4
+        assert tracker.observed == 0
+
+    @pytest.mark.parametrize("forged", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_time_through_run_many(
+        self, enabled_obs, hetero, forged, forged_time_backend
+    ):
+        tracker = enabled_obs.quality
+        workloads = [
+            prepare_workload(*item)
+            for item in (("pagerank", "twitter"), ("bfs", "cage14"))
+        ]
+        hetero.run_many(workloads * 2)
+        before = self._state(tracker)
+        assert tracker.observed == 4 and tracker.skipped == 0
+        inner = hetero.engine.backend
+        hetero.engine.backend = forged_time_backend(inner, forged)
+        try:
+            hetero.run_many(workloads * 3)
+        finally:
+            hetero.engine.backend = inner
+        assert self._state(tracker) == before
+        assert tracker.skipped == 6
 
 
 class TestReplayExactness:

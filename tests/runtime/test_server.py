@@ -7,7 +7,9 @@ import gc
 
 import pytest
 
+import repro.obs as obs
 from repro.core.heteromap import HeteroMap
+from repro.core.online import ExplorationConfig
 from repro.runtime import front
 from repro.runtime.deploy import prepare_workload
 from repro.runtime.server import (
@@ -313,6 +315,66 @@ class TestModes:
         assert len(got) == 2
         assert got[0].benchmark == pool[0].benchmark
         assert got[0].completion_time_ms > 0
+
+    @pytest.mark.parametrize("policy", ["solo", "load-aware", "makespan"])
+    def test_run_mode_flush_is_run_fleet(self, hetero, pool, policy):
+        batch = pool * 2
+        server = DecisionServer(
+            hetero.decisions,
+            ServerConfig(
+                max_batch=len(batch),
+                queue_capacity=8,
+                mode="run",
+                placement_policy=policy,
+            ),
+        )
+        got = []
+        for workload in batch:
+            server.try_submit(workload, callback=lambda _t, r: got.append(r))
+        assert server.stats.flushes == 1
+        assert got == list(hetero.run_fleet(batch, policy=policy).outcomes)
+
+    def test_backend_and_scheduler_are_the_engines(self, hetero):
+        server = DecisionServer(
+            hetero.decisions,
+            ServerConfig(mode="run"),
+            backend=hetero.engine.backend,
+            scheduler=hetero.scheduler,
+        )
+        assert server.backend is server.engine.backend is hetero.engine.backend
+        assert server.scheduler is server.engine.scheduler is hetero.scheduler
+
+
+class TestPlanModeExploration:
+    """Plan mode serves through plan_batch, so exploration probes run."""
+
+    def test_probes_recorded_and_plans_unchanged(self, pool):
+        exploring = HeteroMap.with_default_pair(predictor="cart", seed=9)
+        exploring.train(num_samples=40, seed=9)
+        policy = exploring.enable_exploration(
+            ExplorationConfig(rate=1.0, confidence_threshold=1.0)
+        )
+        twin = HeteroMap.with_default_pair(predictor="cart", seed=9)
+        twin.train(num_samples=40, seed=9)
+        server = DecisionServer(
+            exploring.decisions,
+            ServerConfig(max_batch=len(pool), queue_capacity=8),
+        )
+        served = []
+        state = obs.configure(obs.ObsConfig(enabled=True))
+        try:
+            for workload in pool:
+                server.try_submit(
+                    workload, callback=lambda _t, r: served.append(r)
+                )
+            explored = state.quality.explored
+        finally:
+            obs.reset()
+        assert policy.probes >= 1
+        assert explored == policy.probes
+        assert [(spec.name, config) for spec, config in served] == [
+            (spec.name, config) for spec, config in twin.plan_batch(pool)
+        ]
 
 
 class TestStats:
