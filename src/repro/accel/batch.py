@@ -63,8 +63,6 @@ __all__ = [
     "BatchResult",
     "lattice_table",
     "batch_evaluate",
-    "fleet_evaluate",
-    "fleet_argbest",
 ]
 
 # Schedule encoding for the vectorized _schedule_factor: the scalar model
@@ -561,60 +559,3 @@ def batch_evaluate(
         avg_power_w=avg_power,
         energy_j=energy_j,
     )
-
-
-def fleet_evaluate(
-    profile: WorkloadProfile,
-    deployments: Sequence[tuple[AcceleratorSpec, MachineConfig]],
-) -> list[SimulationResult]:
-    """Cost one workload on many ``(spec, config)`` deployments at once.
-
-    The fleet path: each device in a fleet proposes its own decoded
-    configuration for a workload, and the decision layer needs all of
-    their costs.  Rows are grouped by spec so every device pays exactly
-    one :func:`batch_evaluate` pass regardless of how many rows it owns,
-    then materialized back in input order.
-
-    Returns:
-        One :class:`SimulationResult` per deployment, input order.
-    """
-    if not deployments:
-        return []
-    groups: dict[str, tuple[AcceleratorSpec, list[int]]] = {}
-    for index, (spec, _config) in enumerate(deployments):
-        entry = groups.get(spec.name)
-        if entry is None:
-            groups[spec.name] = (spec, [index])
-        else:
-            entry[1].append(index)
-    results: list[SimulationResult | None] = [None] * len(deployments)
-    for spec, rows in groups.values():
-        batch = batch_evaluate(
-            profile, spec, [deployments[row][1] for row in rows]
-        )
-        for position, row in enumerate(rows):
-            results[row] = batch.materialize(position)
-    return results  # type: ignore[return-value]
-
-
-def fleet_argbest(
-    profile: WorkloadProfile,
-    deployments: Sequence[tuple[AcceleratorSpec, MachineConfig]],
-    metric: str = "time",
-) -> tuple[int, list[SimulationResult]]:
-    """Vectorized per-device argmin over a fleet's candidate deployments.
-
-    Returns the index of the deployment with the lowest objective (first
-    minimum, matching the scalar scan) plus every materialized result.
-    The differential fleet oracle pins this against an exhaustive scalar
-    :func:`~repro.accel.simulator.simulate` loop.
-
-    Raises:
-        SimulationError: for an empty deployment list or unknown metric.
-    """
-    results = fleet_evaluate(profile, deployments)
-    if not results:
-        raise SimulationError("fleet_argbest needs at least one deployment")
-    objectives = [result.objective(metric) for result in results]
-    best = min(range(len(objectives)), key=lambda i: (objectives[i], i))
-    return best, results

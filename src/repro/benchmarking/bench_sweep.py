@@ -792,7 +792,9 @@ def bench_adaptation_loop(
     """Benchmark the online-adaptation loop against a frozen incumbent.
 
     Two identically trained CART maps serve the same seeded workload
-    stream through a :class:`~repro.core.online.DriftInjectedBackend`
+    stream, one request per ``solo`` :meth:`Engine.run_fleet
+    <repro.runtime.engine.engine.Engine.run_fleet>` call, through a
+    :class:`~repro.core.online.DriftInjectedBackend`
     that scales the GPU kind's executed times by ``drift_factor`` after
     the first third of the stream.  One map runs frozen; the other has
     :meth:`~repro.core.heteromap.HeteroMap.enable_adaptation` — its
@@ -850,23 +852,16 @@ def bench_adaptation_loop(
         total_regret = 0.0
         start = time.perf_counter()
         for index, item in enumerate(stream):
-            workload = workloads[item]
-            decision = hetero.decisions.decide(workload)
-            result = backend.execute(
-                workload, decision.spec, decision.config
-            )
-            hetero.decisions.audit(
-                decision, decision.spec, decision.config, result
-            )
-            # Bench-known truth: the estimate vector with the injected
-            # perturbation applied to the affected kind.
+            report = hetero.engine.run_fleet([workloads[item]], policy="solo")
+            # Bench-known truth: the placed decision's estimate vector
+            # with the injected perturbation applied to the affected kind.
             drifting = backend.executions > start_after
             true_costs = [
                 estimate.time_ms
                 * (drift_factor if drifting and estimate.spec.is_gpu else 1.0)
-                for estimate in decision.estimates
+                for estimate in report.placements[0].decision.estimates
             ]
-            regret = result.time_ms - min(true_costs)
+            regret = report.outcomes[0].result.time_ms - min(true_costs)
             total_regret += regret
             if index >= tail_start:
                 tail_regret += regret

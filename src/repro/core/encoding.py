@@ -19,6 +19,7 @@ from repro.machine.mvars import MachineConfig, OmpSchedule, clamp_config
 from repro.machine.specs import AcceleratorSpec
 
 __all__ = [
+    "M1_THRESHOLD",
     "NUM_FEATURES",
     "NUM_TARGETS",
     "TARGET_NAMES",
@@ -46,6 +47,9 @@ TARGET_NAMES = (
     "chunk",  # log2(M12 / 16) / log2(1024 / 16)
 )
 NUM_TARGETS = len(TARGET_NAMES)
+#: M1 decision boundary (the paper's default): a predicted accelerator
+#: target at or above it calls the multicore kind, below it the GPU.
+M1_THRESHOLD = 0.5
 
 _SCHEDULE_TO_VALUE = {
     OmpSchedule.STATIC: 0.0,
@@ -138,7 +142,7 @@ def decode_config(
 ) -> tuple[AcceleratorSpec, MachineConfig]:
     """Turn a (possibly fractional) prediction back into a deployment.
 
-    The accelerator choice thresholds at 0.5 (the paper's default);
+    The accelerator choice thresholds at :data:`M1_THRESHOLD`;
     continuous knobs round to their nearest machine value and are clamped
     by the ceiling rule.  Delegates to :func:`decode_config_batch` so the
     scalar and batched serving paths share one arithmetic implementation
@@ -157,16 +161,17 @@ def decode_config_batch(
 ) -> list[tuple[AcceleratorSpec, MachineConfig]]:
     """Decode an ``(n, NUM_TARGETS)`` prediction matrix in one pass.
 
-    The M1 bit (thresholded at 0.5) picks each row's device; the rows of
-    each kind then decode through :func:`decode_config_for` on that
-    device and scatter back into input order.  Row ``i`` of the result
+    The M1 bit (thresholded at :data:`M1_THRESHOLD`) picks each row's
+    device; the rows of each kind then decode through
+    :func:`decode_config_for` on that device and scatter back into input
+    order.  Row ``i`` of the result
     equals ``decode_config(vectors[i], gpu, multicore)`` — the
     equivalence is pinned by tests, because the exactness of the serving
     cache depends on it.
     """
     vectors = _validated_matrix(vectors)
     decoded: list = [None] * vectors.shape[0]
-    multicore_rows = vectors[:, 0] >= 0.5
+    multicore_rows = vectors[:, 0] >= M1_THRESHOLD
     for spec, mask in ((multicore, multicore_rows), (gpu, ~multicore_rows)):
         rows = np.flatnonzero(mask)
         if rows.size:

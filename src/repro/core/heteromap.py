@@ -37,7 +37,7 @@ from repro import obs
 from repro.accel.simulator import SimulationResult
 from repro.core.database import TrainingDatabase
 from repro.core.overhead import measure_overhead_ms
-from repro.core.predictors import LearnedPredictor, make_predictor
+from repro.core.predictors import LearnedPredictor, Predictor, make_predictor
 from repro.core.training import build_training_database
 from repro.errors import NotTrainedError
 from repro.machine.fleet import Fleet
@@ -120,15 +120,12 @@ class HeteroMap:
         self.metric = metric
         self.seed = seed
         self.predictor_name = predictor
-        self.predictor = make_predictor(
-            predictor, self.gpu, self.multicore, seed=seed
-        )
         self.database: TrainingDatabase | None = None
         capacity = (
             capacity_from_env() if cache_capacity is None else cache_capacity
         )
         self.decisions = DecisionService(
-            self.predictor,
+            make_predictor(predictor, self.gpu, self.multicore, seed=seed),
             self.fleet,
             predictor_name=predictor,
             metric=metric,
@@ -148,6 +145,12 @@ class HeteroMap:
     ) -> "HeteroMap":
         """An N-device fleet from registry names and/or specs."""
         return cls(Fleet.from_names(names), **kwargs)
+
+    @property
+    def predictor(self) -> Predictor:
+        """The serving model: the decision layer's, so an online-adaptation
+        promotion is what :meth:`train` refits and :meth:`predict` uses."""
+        return self.decisions.predictor
 
     @property
     def decision_cache(self) -> DecisionCache | None:

@@ -40,22 +40,25 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from repro import obs
 from repro.accel.simulator import SimulationResult
+from repro.core.encoding import M1_THRESHOLD
 from repro.core.predictors.base import LearnedPredictor, Predictor
 from repro.machine.specs import AcceleratorSpec
 from repro.obs.quality import DriftDetector
 from repro.runtime.deploy import Workload
 from repro.runtime.engine.contracts import Decision
+from repro.runtime.engine.decision import (
+    DecisionService,
+    select_chosen,
+    select_runner_up,
+)
 from repro.runtime.engine.execution import ExecutionBackend
 from repro.machine.mvars import MachineConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
-    from repro.runtime.engine.decision import DecisionService
 
 __all__ = [
     "AdaptationConfig",
@@ -199,7 +202,8 @@ class _ShadowTrial:
     Both models decide every observed row; only the incumbent's decision
     was executed.  Regret is accumulated against the ratio-corrected
     per-device cost vector — the audit counterfactual adjusted by what
-    execution has taught the adapter about each device.
+    execution has taught the adapter about each device — and the
+    candidate's pick goes through the serving rule that would deploy it.
     """
 
     def __init__(self, candidate: Predictor, window: int) -> None:
@@ -212,6 +216,22 @@ class _ShadowTrial:
     @property
     def done(self) -> bool:
         return self.samples >= self.window
+
+    def pick(self, decision: Decision, costs: list[float]) -> int:
+        """The candidate's deployment of ``decision``'s row at ``costs``.
+
+        The candidate's M1 call picks the kind, and :func:`select_chosen`
+        picks the device within it.
+        """
+        vector = self.candidate.predict_vector(
+            np.asarray(decision.features, dtype=np.float64)
+        )
+        return select_chosen(
+            costs,
+            [estimate.spec.name for estimate in decision.estimates],
+            [estimate.spec.is_gpu for estimate in decision.estimates],
+            prefer_multicore=float(vector[0]) >= M1_THRESHOLD,
+        )
 
     def verdict(self, margin: float) -> bool:
         """True = promote: candidate regret beats incumbent by margin."""
@@ -234,7 +254,7 @@ class OnlineAdapter:
 
     def __init__(
         self,
-        service: "DecisionService",
+        service: DecisionService,
         *,
         make_candidate: Callable[[], Predictor],
         base_matrices: tuple[np.ndarray, np.ndarray] | None,
@@ -334,10 +354,7 @@ class OnlineAdapter:
             cost * self._ratios.get(name, 1.0)
             for cost, name in zip(row.costs_ms, row.devices)
         ]
-        best = min(
-            range(len(corrected)),
-            key=lambda i: (corrected[i], row.devices[i]),
-        )
+        best = select_runner_up(corrected, row.devices, None)
         target = row.vector.copy()
         target[0] = 0.0 if row.is_gpu[best] else 1.0
         return target
@@ -382,47 +399,16 @@ class OnlineAdapter:
         """Both models decide this observed row; score corrected regret."""
         trial = self._shadow
         assert trial is not None
-        oracle = min(
-            range(len(corrected)),
-            key=lambda i: (corrected[i], decision.estimates[i].spec.name),
-        )
+        names = [estimate.spec.name for estimate in decision.estimates]
+        oracle_cost = corrected[select_runner_up(corrected, names, None)]
         incumbent_cost = corrected[decision.chosen_index]
-        candidate_index = self._candidate_choice(trial.candidate, decision, corrected)
-        candidate_cost = corrected[candidate_index]
-        trial.incumbent_regret += incumbent_cost - corrected[oracle]
-        trial.candidate_regret += candidate_cost - corrected[oracle]
+        candidate_cost = corrected[trial.pick(decision, corrected)]
+        trial.incumbent_regret += incumbent_cost - oracle_cost
+        trial.candidate_regret += candidate_cost - oracle_cost
         trial.samples += 1
         self.shadow_evaluations += 1
         if obs.enabled():
             obs.counter("quality.shadow_evaluations")
-
-    @staticmethod
-    def _candidate_choice(
-        candidate: Predictor, decision: Decision, corrected: list[float]
-    ) -> int:
-        """The candidate's kind-restricted argmin over corrected costs.
-
-        Mirrors the decision rule: the candidate's M1 bit picks the
-        accelerator kind, the cheapest corrected estimate within the kind
-        wins (ties by device name).  Falls back to the unrestricted
-        argmin if the fleet lacks the called kind (cannot happen for a
-        validated fleet, but keeps the scorer total).
-        """
-        vector = candidate.predict_vector(
-            np.asarray(decision.features, dtype=np.float64)
-        )
-        prefer_multicore = float(vector[0]) >= 0.5
-        candidates = [
-            index
-            for index, estimate in enumerate(decision.estimates)
-            if estimate.spec.is_gpu != prefer_multicore
-        ]
-        if not candidates:
-            candidates = list(range(len(corrected)))
-        return min(
-            candidates,
-            key=lambda i: (corrected[i], decision.estimates[i].spec.name),
-        )
 
     def _conclude_shadow(self) -> None:
         trial = self._shadow

@@ -19,7 +19,9 @@ The decision rule is *kind-restricted argmin*: the predictor's M1 bit
 picks the accelerator **kind** (GPU vs multicore, the paper's binary
 call) and the concrete device within that kind is the argmin of the
 per-device cost estimates (ties break by device name, so decisions are
-invariant under permutation of the fleet's device list).  On a
+invariant under permutation of the fleet's device list).  One private
+argmin backs :func:`select_chosen` and :func:`select_runner_up`, and
+the audit record and the online adapter select through those two.  On a
 two-device fleet the kind has exactly one member, which makes the fleet
 path bit-identical to the historical pair path — decoding the predicted
 vector onto the opposite device with its own parameters is exactly what
@@ -37,7 +39,7 @@ fingerprint so one cache can never serve placements across fleets.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,54 +73,59 @@ __all__ = ["DecisionService", "select_chosen", "select_runner_up"]
 _CANONICAL_DECIMALS = 9
 
 
+def _argmin(
+    candidates: Iterable[int], costs: Sequence[float], names: Sequence[str]
+) -> int:
+    """The one selection rule: lowest ``(cost, device name)`` wins.
+
+    Ties break by device name, so a pick never depends on fleet-list
+    order.
+    """
+    return min(candidates, key=lambda i: (costs[i], names[i]))
+
+
 def select_chosen(
-    estimates: Sequence[DeviceEstimate],
+    costs: Sequence[float],
+    names: Sequence[str],
+    is_gpu: Sequence[bool],
     *,
     prefer_multicore: bool,
-    metric: str,
 ) -> int:
     """Kind-restricted argmin: the index the decision layer deploys.
 
+    ``costs``, ``names`` and ``is_gpu`` are per device, fleet order.
     Candidates are the devices of the M1 kind the predictor called;
-    among them the lowest objective wins, ties broken by device name so
-    the pick never depends on fleet-list order.
+    among them :func:`_argmin` picks.
 
     Raises:
         ValueError: when the fleet has no device of the called kind.
     """
-    candidates = [
-        index
-        for index, estimate in enumerate(estimates)
-        if estimate.spec.is_gpu != prefer_multicore
-    ]
+    candidates = [i for i, gpu in enumerate(is_gpu) if gpu != prefer_multicore]
     if not candidates:
         kind = "multicore" if prefer_multicore else "GPU"
         raise ValueError(f"no {kind} device among the estimates")
-    return min(
-        candidates,
-        key=lambda i: (estimates[i].result.objective(metric), estimates[i].spec.name),
-    )
+    return _argmin(candidates, costs, names)
 
 
 def select_runner_up(
-    estimates: Sequence[DeviceEstimate],
-    chosen_index: int,
-    metric: str,
+    costs: Sequence[float],
+    names: Sequence[str],
+    excluded: int | None,
 ) -> int:
-    """Second-best index: the best estimate excluding the chosen device.
+    """The best index other than ``excluded``, by :func:`_argmin`.
 
-    Ties break by device name, like :func:`select_chosen`.
+    Excluding the chosen device gives a decision's runner-up; excluding
+    the executed one gives the audit record's alternative; excluding
+    nothing (``None``) gives the unrestricted argmin, the online
+    adapter's corrected-cost oracle.
 
     Raises:
-        ValueError: for a single-estimate list (no alternative exists).
+        ValueError: when nothing is left to choose from.
     """
-    candidates = [i for i in range(len(estimates)) if i != chosen_index]
+    candidates = [i for i in range(len(costs)) if i != excluded]
     if not candidates:
         raise ValueError("a runner-up needs at least two estimates")
-    return min(
-        candidates,
-        key=lambda i: (estimates[i].result.objective(metric), estimates[i].spec.name),
-    )
+    return _argmin(candidates, costs, names)
 
 
 class DecisionService:
@@ -237,7 +244,9 @@ class DecisionService:
         and recorded in the audit stream; the returned plans themselves
         are untouched, so exploration never changes what is served.
         """
-        entries, features = self._choose_batch(workloads, features)
+        if features is None:
+            features = self.encode(workloads)
+        entries = self.choose_encoded(features)
         if self.exploration is not None:
             self._explore_low_confidence(workloads, entries, features)
         return [(entry.spec, entry.config) for entry in entries]
@@ -265,15 +274,13 @@ class DecisionService:
         ]
         if not probe_rows:
             return
-        probe_entries = [entries[index] for index in probe_rows]
-        configs = self._decode_fleet(probe_entries)
-        for index in probe_rows:
-            entry = entries[index]
+        configs = self._decode_fleet([entries[index] for index in probe_rows])
+        for index, device_configs in zip(probe_rows, configs):
             decision = self._with_estimates(
                 workloads[index],
-                entry,
+                entries[index],
                 features[index],
-                configs[id(entry)],
+                device_configs,
                 explored=True,
             )
             self._audit_probe(decision)
@@ -284,16 +291,6 @@ class DecisionService:
         """The batch's discretized ``(n, 17)`` feature matrix."""
         return encode_features_batch([(w.bvars, w.ivars) for w in workloads])
 
-    def _choose_batch(
-        self,
-        workloads: Sequence[Workload],
-        features: np.ndarray | None = None,
-    ) -> tuple[list[CachedDecision], np.ndarray]:
-        """Cache-dedupe a batch and run one forward pass for the misses."""
-        if features is None:
-            features = self.encode(workloads)
-        return self.choose_encoded(features), features
-
     def choose_encoded(self, features: np.ndarray) -> list[CachedDecision]:
         """Decide a pre-encoded feature matrix through cache + one forward.
 
@@ -303,8 +300,8 @@ class DecisionService:
         unique row is keyed and probed once (first-occurrence order), and
         its entry fans back out to every equal row.  The serving fronts
         reach it with memoized feature rows (the server through
-        :meth:`plan_batch`, shard workers directly), skipping the encode
-        pass for hot workloads.
+        :meth:`plan_batch`, :meth:`decide_batch` or the engine, shard
+        workers directly), skipping the encode pass for hot workloads.
 
         The plan tier is feature-pure, so decoding anchors on the fleet
         primaries; cache keys carry the fleet fingerprint, so a cache
@@ -421,13 +418,24 @@ class DecisionService:
         """One workload's fleet-costed decision."""
         return self.decide_batch([workload])[0]
 
-    def decide_batch(self, workloads: Sequence[Workload]) -> list[Decision]:
-        """Choose deployments and cost every fleet device for a batch."""
-        entries, features = self._choose_batch(workloads)
-        configs = self._decode_fleet(entries)
+    def decide_batch(
+        self,
+        workloads: Sequence[Workload],
+        features: np.ndarray | None = None,
+    ) -> list[Decision]:
+        """Choose deployments and cost every fleet device for a batch.
+
+        ``features`` is the batch's encoded matrix when the caller already
+        has it, as in :meth:`plan_batch`.
+        """
+        if features is None:
+            features = self.encode(workloads)
+        entries = self.choose_encoded(features)
         decisions = [
-            self._with_estimates(workload, entry, row, configs[id(entry)])
-            for workload, entry, row in zip(workloads, entries, features)
+            self._with_estimates(workload, entry, row, configs)
+            for workload, entry, row, configs in zip(
+                workloads, entries, features, self._decode_fleet(entries)
+            )
         ]
         if decisions and obs.enabled():
             # One cost-model evaluation per decision per fleet device.
@@ -436,29 +444,18 @@ class DecisionService:
 
     def _decode_fleet(
         self, entries: Sequence[CachedDecision]
-    ) -> dict[int, tuple[MachineConfig, ...]]:
-        """Per-device configs for each unique entry's predicted vector.
+    ) -> list[tuple[MachineConfig, ...]]:
+        """Per-device configs for each entry's predicted vector, in order.
 
-        One :func:`decode_config_for` pass per device over the unique
-        vectors (cache hits and in-batch duplicates share rows), keyed by
-        entry identity.
+        One :func:`decode_config_for` pass per device over the batch's
+        vectors (equal rows share one frozen config instance there).
         """
-        unique_rows: dict[int, int] = {}
-        vectors: list[np.ndarray] = []
-        for entry in entries:
-            if id(entry) not in unique_rows:
-                unique_rows[id(entry)] = len(vectors)
-                vectors.append(entry.vector)
-        if not vectors:
-            return {}
-        matrix = np.stack(vectors)
-        per_device = [
-            decode_config_for(matrix, spec) for spec in self.fleet.devices
-        ]
-        return {
-            entry_id: tuple(configs[row] for configs in per_device)
-            for entry_id, row in unique_rows.items()
-        }
+        if not entries:
+            return []
+        matrix = np.stack([entry.vector for entry in entries])
+        return list(
+            zip(*(decode_config_for(matrix, spec) for spec in self.fleet.devices))
+        )
 
     def _with_estimates(
         self,
@@ -477,12 +474,15 @@ class DecisionService:
             )
             for spec, config in zip(self.fleet.devices, configs)
         )
+        costs = [estimate.result.objective(self.metric) for estimate in estimates]
+        names = [spec.name for spec in self.fleet.devices]
         chosen_index = select_chosen(
-            estimates,
+            costs,
+            names,
+            [spec.is_gpu for spec in self.fleet.devices],
             prefer_multicore=not entry.spec.is_gpu,
-            metric=self.metric,
         )
-        runner_up_index = select_runner_up(estimates, chosen_index, self.metric)
+        runner_up_index = select_runner_up(costs, names, chosen_index)
         return Decision(
             workload=workload,
             estimates=estimates,
@@ -547,13 +547,16 @@ class DecisionService:
     ) -> obs.DecisionRecord:
         """The audit record of ``decision`` deployed as (spec, config).
 
-        ``result`` gives the predicted columns; the runner-up is the
-        decision's best estimate on any *other* device, and the full
-        per-device cost vector is the quality observatory's regret
-        counterfactual.  The active request trace id is attached when
-        there is one.
+        ``result`` gives the predicted columns; the runner-up is
+        :func:`select_runner_up` with the executed device excluded, and
+        the full per-device cost vector is the quality observatory's
+        regret counterfactual.  The active request trace id is attached
+        when there is one.
         """
-        runner_up = decision.runner_up_excluding(spec.name, self.metric)
+        estimates = decision.estimates
+        names = [estimate.spec.name for estimate in estimates]
+        costs = [estimate.result.objective(self.metric) for estimate in estimates]
+        runner_up = estimates[select_runner_up(costs, names, names.index(spec.name))]
         trace = obs.current_trace()
         return obs.DecisionRecord(
             benchmark=decision.workload.benchmark,

@@ -22,6 +22,8 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.runtime.deploy import Workload
 from repro.runtime.engine.contracts import (
@@ -51,9 +53,16 @@ class Engine:
         self.backend: ExecutionBackend = backend or SimulatedBackend()
 
     def run_fleet(
-        self, workloads: Sequence[Workload], *, policy: str = "solo"
+        self,
+        workloads: Sequence[Workload],
+        *,
+        policy: str = "solo",
+        features: np.ndarray | None = None,
     ) -> FleetReport:
         """Decide, place, and execute a batch under one policy.
+
+        ``features`` is the batch's encoded matrix when the caller already
+        has it (see :meth:`DecisionService.decide_batch`).
 
         Raises:
             NotTrainedError: before the predictor is trained.
@@ -71,7 +80,7 @@ class Engine:
         with obs.trace_scope(contexts), obs.span(
             "engine.run_fleet", policy=policy, batch=len(workloads)
         ) as span:
-            decisions = self.decisions.decide_batch(list(workloads))
+            decisions = self.decisions.decide_batch(list(workloads), features)
             placements = self.scheduler.place(decisions, policy=policy)
             outcomes = [  # input order: audits line up
                 self._execute(placement, contexts, overhead_ms)

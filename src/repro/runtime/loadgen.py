@@ -170,6 +170,10 @@ async def run_open_loop(
     if not tenants:
         raise ValueError("tenant list is empty")
     server.start()
+    # Settle earlier work first: a front that completes on another thread
+    # (the shard router) may not yet have counted its last batch, and a
+    # late count would land in this run's ``completed``.
+    await server.drain()
     stats = server.stats
     base_completed = stats.completed
     base_dropped = stats.dropped

@@ -9,17 +9,19 @@ process through one
 :class:`~repro.runtime.engine.decision.DecisionService`, according to
 ``ServerConfig.mode``:
 
-* ``"plan"`` — ``plan_batch`` over the memoized feature rows (one
-  cache-deduped ``predict_batch`` forward, plus exploration probes when
-  a policy is attached); resolves to ``(spec, config)``;
+* ``"plan"`` — ``plan_batch`` (one cache-deduped ``predict_batch``
+  forward, plus exploration probes when a policy is attached); resolves
+  to ``(spec, config)``;
 * ``"decide"`` — ``decide_batch``; resolves to a fleet-costed
   ``Decision``;
 * ``"run"`` — :meth:`~repro.runtime.engine.engine.Engine.run_fleet`
   under ``ServerConfig.placement_policy`` (decide, place, execute,
   audit); resolves to a ``RunOutcome``.
 
-Each mode is one call into the same tier the synchronous API uses, so
-the server has no decision, placement or audit logic of its own.
+Each mode is one call into the same tier the synchronous API uses, fed
+the batch's feature matrix from the front's row memo (so a flush encodes
+only the workloads the memo has not seen), and the server has no
+decision, placement or audit logic of its own.
 
 Both request paths of the front apply: :meth:`~BatchFront.submit` (the
 awaitable path) and :meth:`~BatchFront.try_submit` (the open-loop fast
@@ -152,13 +154,12 @@ class DecisionServer(BatchFront):
     def _dispatch(self, batch: list[_Request], flush_start: float) -> list:
         """Serve one assembled batch in process, per the configured mode."""
         workloads = [request.workload for request in batch]
+        features = self._encode_batch(batch)
         if self.mode == "plan":
-            return self.decisions.plan_batch(
-                workloads, self._encode_batch(batch)
-            )
+            return self.decisions.plan_batch(workloads, features)
         if self.mode == "decide":
-            return self.decisions.decide_batch(workloads)
+            return self.decisions.decide_batch(workloads, features)
         report = self.engine.run_fleet(
-            workloads, policy=self.config.placement_policy
+            workloads, policy=self.config.placement_policy, features=features
         )
         return list(report.outcomes)

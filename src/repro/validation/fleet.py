@@ -4,12 +4,11 @@ The fleet runtime rests on three mechanical facts this component fuzzes
 under the seeded-replay contract of :mod:`repro.validation.fuzz`:
 
 * **differential argmin** — for random workloads and random fleets of
-  size 2–6, the vectorized per-device argmin
-  (:func:`repro.accel.batch.fleet_argbest`, one grouped batch evaluation
-  per device) agrees with an exhaustive scalar
-  :func:`~repro.accel.simulator.simulate` loop over every candidate
-  deployment, under the same 1e-9 tolerance contract as the batch/scalar
-  cost-model oracle;
+  size 2–6, the argmin over per-deployment
+  :func:`repro.accel.batch.batch_evaluate` costs agrees with an
+  exhaustive scalar :func:`~repro.accel.simulator.simulate` loop over
+  every candidate deployment, under the same 1e-9 tolerance contract as
+  the batch/scalar cost-model oracle;
 * **decode agreement** — :func:`repro.core.encoding.decode_config_for`
   (decode a predicted knob vector onto *one* named device) is
   bit-identical to the matching kind-branch of
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.batch import fleet_argbest
+from repro.accel.batch import batch_evaluate
 from repro.accel.simulator import simulate
 from repro.core.encoding import NUM_TARGETS, decode_config_batch, decode_config_for
 from repro.errors import OracleMismatchError
@@ -84,7 +83,7 @@ def check_fleet_argmin(
     metric: str,
     rel_tol: float = REL_TOL,
 ) -> None:
-    """Vectorized fleet argmin vs an exhaustive scalar simulate loop.
+    """Batch-path per-deployment argmin vs an exhaustive scalar simulate loop.
 
     Per-deployment results must match the scalar reference to within the
     oracle tolerance, and the winning objective values must agree (near
@@ -93,7 +92,13 @@ def check_fleet_argmin(
     Raises:
         OracleMismatchError: on any divergence beyond ``rel_tol``.
     """
-    best_index, results = fleet_argbest(profile, deployments, metric)
+    results = [
+        batch_evaluate(profile, spec, [config]).materialize(0)
+        for spec, config in deployments
+    ]
+    best_index = min(
+        range(len(results)), key=lambda i: (results[i].objective(metric), i)
+    )
     scalar = [simulate(profile, spec, config) for spec, config in deployments]
     for index, (vectorized, reference) in enumerate(zip(results, scalar)):
         pairs = (

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.heteromap import HeteroMap
+from repro.core.predictors import make_predictor
 from repro.errors import NotTrainedError, UnknownAcceleratorError
 from repro.runtime.deploy import prepare_workload
 
@@ -103,3 +104,21 @@ class TestDecisionTreeMode:
         hetero.train(num_samples=1, seed=0)
         outcome = hetero.run("sssp_delta", "usa-cal")
         assert outcome.chosen_accelerator == "xeonphi7120p"
+
+
+class TestPromotedPredictor:
+    """After an online-adaptation swap the map serves the promoted model."""
+
+    def test_swap_is_what_train_refits_and_predict_serves(self):
+        hetero = HeteroMap.with_default_pair(predictor="cart", seed=4)
+        hetero.train(num_samples=24, seed=4)
+        promoted = make_predictor("cart", hetero.gpu, hetero.multicore, seed=4)
+        hetero.decisions.swap_predictor(promoted)
+        assert hetero.predictor is promoted
+        hetero.train(num_samples=24, seed=4)  # refits the promoted model
+        assert hetero.predictor is promoted
+        assert hetero.decisions.predictor is promoted
+        workload = prepare_workload("bfs", "facebook")
+        assert hetero.predict(workload) == promoted.predict_config(
+            workload.bvars, workload.ivars, hetero.gpu, hetero.multicore
+        )

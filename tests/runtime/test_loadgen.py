@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.heteromap import HeteroMap
 from repro.runtime.deploy import prepare_workload
+from repro.runtime.front import BatchFront, FrontConfig
 from repro.runtime.loadgen import (
     onoff_arrivals,
     poisson_arrivals,
@@ -199,3 +200,37 @@ class TestRunOpenLoop:
 
         with pytest.raises(ValueError):
             asyncio.run(scenario())
+
+
+class _LaggingFront(BatchFront):
+    """Counts each batch complete a few loop turns after dispatching it,
+    as a front that completes on another thread can."""
+
+    observe_requests = False  # results carry no devices to label
+
+    def _dispatch(self, batch, flush_start):
+        self._loop.call_later(
+            0.02, self._complete, batch, [None] * len(batch), flush_start
+        )
+        return None
+
+
+class TestLaggingCompletion:
+    def test_earlier_batch_not_counted_in_the_run(self, pool):
+        async def scenario():
+            front = _LaggingFront(
+                FrontConfig(max_batch=8, flush_deadline_ms=1.0, queue_capacity=64)
+            )
+            async with front:
+                assert front.try_submit(pool[0])  # a warm-up request
+                front.flush_now()  # dispatched; still uncounted
+                assert front.stats.completed == 0
+                return await asyncio.wait_for(
+                    run_open_loop(front, poisson_arrivals(400, 0.05, seed=3), pool),
+                    timeout=30.0,
+                )
+
+        report = asyncio.run(scenario())
+        assert report.admitted > 0
+        assert report.completed == report.admitted
+        assert report.dropped == 0

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import repro.accel.batch as batch_module
-from repro.accel.batch import fleet_argbest, fleet_evaluate
+from repro.accel.batch import batch_evaluate
 from repro.accel.simulator import simulate
 from repro.core.encoding import NUM_TARGETS
-from repro.errors import OracleMismatchError, SimulationError
+from repro.errors import OracleMismatchError
 from repro.machine.fleet import Fleet, synthetic_fleet
 from repro.validation.fleet import (
     MAX_FLEET_SIZE,
@@ -37,6 +37,8 @@ class TestRandomFleet:
 
 
 class TestFleetEvaluate:
+    """Per-deployment batch evaluation, as the fleet oracle costs it."""
+
     def test_matches_scalar_in_input_order(self):
         rng = np.random.default_rng(7)
         profile = random_profile(rng)
@@ -44,8 +46,10 @@ class TestFleetEvaluate:
         deployments = [
             (spec, random_config(spec, rng)) for spec in fleet.devices
         ]
-        results = fleet_evaluate(profile, deployments)
-        assert len(results) == len(deployments)
+        results = [
+            batch_evaluate(profile, spec, [config]).materialize(0)
+            for spec, config in deployments
+        ]
         for (spec, config), result in zip(deployments, results):
             reference = simulate(profile, spec, config)
             assert result.accelerator == spec.name
@@ -53,21 +57,6 @@ class TestFleetEvaluate:
             assert result.energy_j == pytest.approx(
                 reference.energy_j, rel=1e-9
             )
-
-    def test_groups_duplicate_specs_into_one_pass(self):
-        rng = np.random.default_rng(9)
-        profile = random_profile(rng)
-        spec = synthetic_fleet(2).devices[0]
-        deployments = [(spec, random_config(spec, rng)) for _ in range(5)]
-        results = fleet_evaluate(profile, deployments)
-        assert len(results) == 5
-        assert all(r.accelerator == spec.name for r in results)
-
-    def test_empty_deployments(self):
-        rng = np.random.default_rng(1)
-        assert fleet_evaluate(random_profile(rng), []) == []
-        with pytest.raises(SimulationError, match="at least one"):
-            fleet_argbest(random_profile(rng), [])
 
 
 class TestDifferentialArgmin:
