@@ -293,14 +293,8 @@ def bench_predict_throughput(
     and the cached path (warm :class:`DecisionCache` lookups, key build
     included).  All three produce the same (accelerator, config) decisions
     — the cache exactly, by construction — so the columns are directly
-    comparable.
-
-    Predictors that opt out of the decision cache
-    (``prefer_decision_cache = False``, e.g. CART — the serving path's
-    ``cache_active`` is False for them, so no production request ever
-    takes their cached leg) skip the cached timing and record
-    ``<name>_cache_bypassed`` instead: publishing CART's 0.59x "cache
-    speedup" was measuring a path the server never executes.
+    comparable.  Every predictor serves through the cache, so every
+    predictor records a cached leg.
     """
     specs = [get_accelerator(name) for name in pair]
     gpu = next(spec for spec in specs if spec.is_gpu)
@@ -343,12 +337,6 @@ def bench_predict_throughput(
         results[f"{name}_batched_per_sec"] = batch_size / batched_s
         results[f"{name}_batch_speedup"] = scalar_s / batched_s
 
-        if not predictor.prefer_decision_cache:
-            # The serving path's cache_active is False for this
-            # predictor: its batched forward beats a cache hit, so the
-            # cached leg never runs in production — don't time it.
-            results[f"{name}_cache_bypassed"] = True
-            continue
         cache = DecisionCache(capacity=max(batch_size, 1))
         vectors = predictor.predict_batch(features)
         decoded = decode_config_batch(vectors, gpu, multicore)
@@ -436,11 +424,12 @@ def bench_fleet_scaling(
     """Measure how decide + place scales with synthetic fleet size.
 
     For each N in ``sizes``, builds a :func:`synthetic_fleet` HeteroMap
-    (CART predictor, so the decision cache is bypassed and every timed
-    pass re-decides), times ``decide_batch`` over the scheduler batch in
+    (CART predictor), times ``decide_batch`` over the scheduler batch in
     decisions/sec, and records the load-aware makespan speedup over the
-    solo baseline.  Per-device estimation work grows linearly in N, so
-    decisions/sec is expected to fall as the fleet grows — the bench
+    solo baseline.  The warm-up pass fills the decision cache, so timed
+    passes take predictions from it but re-cost every device (estimates
+    are never cached).  Per-device estimation work grows linearly in N,
+    so decisions/sec is expected to fall as the fleet grows — the bench
     records the curve so that regression stands out from constant-factor
     slowdowns.
     """
@@ -1145,16 +1134,6 @@ def main(argv: list[str] | None = None) -> int:
     if "predict_throughput" in payload:
         serve = payload["predict_throughput"]
         for name in _SERVE_PREDICTORS:
-            cache_bits = (
-                {"cache": "bypassed (prefer_decision_cache=False)"}
-                if serve.get(f"{name}_cache_bypassed")
-                else {
-                    "cached_per_s": round(serve[f"{name}_cached_per_sec"]),
-                    "cache_speedup": round(
-                        serve[f"{name}_cache_speedup"], 1
-                    ),
-                }
-            )
             log.info(
                 "predict_throughput",
                 predictor=name,
@@ -1162,7 +1141,8 @@ def main(argv: list[str] | None = None) -> int:
                 scalar_per_s=round(serve[f"{name}_scalar_per_sec"]),
                 batched_per_s=round(serve[f"{name}_batched_per_sec"]),
                 batch_speedup=round(serve[f"{name}_batch_speedup"], 1),
-                **cache_bits,
+                cached_per_s=round(serve[f"{name}_cached_per_sec"]),
+                cache_speedup=round(serve[f"{name}_cache_speedup"], 1),
             )
 
     if "scheduler" in payload:

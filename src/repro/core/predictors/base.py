@@ -24,6 +24,15 @@ from repro.machine.specs import AcceleratorSpec
 
 __all__ = ["Predictor", "LearnedPredictor"]
 
+#: Decimal places learned predictions are rounded to.  Matrix models
+#: round a few ULP differently by batch shape (BLAS dispatches GEMV for
+#: one row and blocked GEMM otherwise), so the same row predicted alone
+#: vs inside a batch would decode to configs that differ in their
+#: continuous knobs.  Targets are clipped to [0, 1], so their ULP is
+#: ≤ 2e-16; a 1e-9 grid sits ~1e6 ULPs above that noise while staying
+#: far below any knob's meaningful resolution.
+CANONICAL_DECIMALS = 9
+
 
 def _validate_batch(features: np.ndarray) -> np.ndarray:
     """Coerce a batch into a float64 ``(n, 17)`` matrix or raise."""
@@ -38,30 +47,23 @@ def _validate_batch(features: np.ndarray) -> np.ndarray:
     return features
 
 
+def _canonical(prediction: np.ndarray) -> np.ndarray:
+    """Clip raw targets to [0, 1] and snap them to the canonical grid."""
+    return np.round(np.clip(prediction, 0.0, 1.0), CANONICAL_DECIMALS)
+
+
 class Predictor(abc.ABC):
-    """Maps (B, I) features to normalized M targets."""
+    """Maps (B, I) features to normalized M targets.
+
+    Contract: a row's prediction is bit-identical whether it is predicted
+    alone (:meth:`predict_vector`) or inside a batch of any shape
+    (:meth:`predict_batch`).  Every serving path — the decision cache,
+    the async server's flush batching, the shard router — relies on a
+    decision being a pure function of its feature row.
+    """
 
     #: registry key, e.g. ``"deep128"``.
     name: str = ""
-
-    #: Whether the exact LRU decision cache pays off for this predictor.
-    #: The cache trades a batched forward pass for per-row key lookups;
-    #: for most models (matrix forwards, per-row analytical evaluation)
-    #: a hit is far cheaper than a recompute, but a predictor whose
-    #: vectorized batch predict is cheaper than the lookup itself should
-    #: set this to ``False`` so the serving layer routes every batch
-    #: straight through ``predict_batch`` (decisions are unchanged — the
-    #: cache is exact — only the path differs).
-    prefer_decision_cache: bool = True
-
-    #: Whether a row's ``predict_batch`` output is independent of which
-    #: other rows share the batch.  True for per-row evaluation (the
-    #: fallback loop, tree walks); matrix models set this False because
-    #: BLAS dispatches different kernels by batch shape (GEMV for one
-    #: row, blocked GEMM otherwise) whose sums round a few ULP apart.
-    #: The decision layer quantizes shape-dependent predictions before
-    #: decoding so decisions stay a pure function of the feature row.
-    batch_shape_independent: bool = True
 
     @abc.abstractmethod
     def predict_vector(self, features: np.ndarray) -> np.ndarray:
@@ -119,11 +121,12 @@ class Predictor(abc.ABC):
 
 
 class LearnedPredictor(Predictor):
-    """Base class for predictors trained on an offline database."""
+    """Base class for predictors trained on an offline database.
 
-    # Learned models predict with one matrix pass over the whole batch;
-    # per-row exact subclasses (the CART tree walk) override this back.
-    batch_shape_independent: bool = False
+    Predictions are clipped to [0, 1] and rounded to the
+    :data:`CANONICAL_DECIMALS` grid, which keeps the batch-shape
+    contract for every ``_predict`` matrix pass.
+    """
 
     def __init__(self) -> None:
         self._trained = False
@@ -161,7 +164,7 @@ class LearnedPredictor(Predictor):
         features = np.asarray(features, dtype=np.float64)
         single = features.ndim == 1
         batch = features.reshape(1, -1) if single else features
-        prediction = np.clip(self._predict(batch), 0.0, 1.0)
+        prediction = _canonical(self._predict(batch))
         return prediction[0] if single else prediction
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
@@ -175,7 +178,7 @@ class LearnedPredictor(Predictor):
         features = _validate_batch(features)
         if features.shape[0] == 0:
             return np.empty((0, 0), dtype=np.float64)
-        return np.clip(self._predict(features), 0.0, 1.0)
+        return _canonical(self._predict(features))
 
     def confidence_batch(self, features: np.ndarray) -> ConfidenceReport:
         if not self._trained:

@@ -41,16 +41,6 @@ class CartPredictor(LearnedPredictor):
 
     name = "cart"
 
-    # The flattened-array lockstep descent predicts a batch row in well
-    # under the cost of an LRU key build + lookup (BENCH_sweep.json's
-    # cart_cache_speedup sat at ~0.67), so the decision layer bypasses
-    # the cache and always takes the batched forward.
-    prefer_decision_cache = False
-
-    # The lockstep descent compares and gathers — no reductions — so a
-    # row's leaf vector never depends on its batch mates.
-    batch_shape_independent = True
-
     def __init__(self, *, max_depth: int = 8, min_samples: int = 8) -> None:
         super().__init__()
         if max_depth < 1 or min_samples < 1:

@@ -66,13 +66,6 @@ from repro.runtime.serving import (
 
 __all__ = ["DecisionService", "select_chosen", "select_runner_up"]
 
-#: Decimal places shape-dependent predictions are rounded to before
-#: decoding.  Targets are clipped to [0, 1], so their ULP is ≤ 2e-16;
-#: a 1e-9 grid sits ~1e6 ULPs above the BLAS batch-shape noise while
-#: staying far below any knob's meaningful resolution.
-_CANONICAL_DECIMALS = 9
-
-
 def _argmin(
     candidates: Iterable[int], costs: Sequence[float], names: Sequence[str]
 ) -> int:
@@ -217,17 +210,6 @@ class DecisionService:
 
     # -- planning (spec + config only) -------------------------------------
 
-    @property
-    def cache_active(self) -> bool:
-        """Whether batches actually consult the LRU decision cache.
-
-        False either because caching is disabled outright or because the
-        predictor's batched forward is cheaper than a cache hit
-        (``prefer_decision_cache = False``, e.g. CART) — bypassing is
-        decision-neutral since the cache is exact.
-        """
-        return self.cache is not None and self.predictor.prefer_decision_cache
-
     def plan_batch(
         self,
         workloads: Sequence[Workload],
@@ -338,7 +320,7 @@ class DecisionService:
                 for trace_id, row in zip(ids, inverse.tolist()):
                     if row == len(row_traces):  # first sight of this row
                         row_traces.append(trace_id)
-        cache = self.cache if self.cache_active else None
+        cache = self.cache
         entries: list[CachedDecision | None] = [None] * len(keys)
         miss_rows: list[int] = []
         for index, key in enumerate(keys):
@@ -357,17 +339,6 @@ class DecisionService:
                 batch=len(miss_rows),
             ):
                 vectors = self.predictor.predict_batch(miss_features)
-            if not self.predictor.batch_shape_independent:
-                # Matrix models round a few ULP differently depending on
-                # batch shape (BLAS GEMV vs blocked GEMM), so the same
-                # row predicted alone vs inside a batch would decode to
-                # configs that differ in their continuous knobs.
-                # Quantizing ~1e6 ULPs above the noise makes every
-                # decision a pure function of its feature row — the
-                # invariant the decision cache, the async server's flush
-                # batching, and the shard router's bit-identity gate all
-                # rely on.
-                vectors = np.round(vectors, _CANONICAL_DECIMALS)
             confidence: np.ndarray | None = None
             if self.track_confidence:
                 # A pure side computation over the same miss rows; the

@@ -46,13 +46,11 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro import obs
 from repro.core.heteromap import HeteroMap
 from repro.ioutil import atomic_write_text
 from repro.machine.specs import DEFAULT_PAIR
-from repro.obs.metrics import DEFAULT_BUCKETS
+from repro.obs.metrics import Histogram
 from repro.runtime.deploy import prepare_workload
 from repro.runtime.loadgen import (
     OpenLoopReport,
@@ -84,19 +82,11 @@ DEFAULT_POOL = (
 
 
 def _histogram_line(kind: str, samples: list[float]) -> dict:
-    """One JSONL histogram record over the obs default (ms) bounds."""
-    bounds = list(DEFAULT_BUCKETS)
-    counts = np.histogram(
-        np.asarray(samples, dtype=np.float64), bins=[0.0, *bounds, np.inf]
-    )[0]
-    return {
-        "kind": kind,
-        "unit": "ms",
-        "bounds": bounds,
-        "counts": [int(c) for c in counts],
-        "count": len(samples),
-        "sum": float(np.sum(samples)) if samples else 0.0,
-    }
+    """One JSONL histogram record, bucketed exactly as ``/metrics`` is."""
+    histogram = Histogram()
+    for value in samples:
+        histogram.observe(value)
+    return {"kind": kind, "unit": "ms", **histogram.as_dict()}
 
 
 def _parse_drift_inject(text: str) -> tuple[float, float, str]:

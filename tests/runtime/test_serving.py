@@ -170,9 +170,6 @@ class TestDecisionCache:
 
 @pytest.fixture(scope="module")
 def trained():
-    # A cache-preferring predictor: CART opts out of the decision cache
-    # (prefer_decision_cache = False), so the cache-path tests below use a
-    # small MLP instead.  CART's bypass has its own tests (TestCacheBypass).
     hetero = HeteroMap.with_default_pair(predictor="deep16", seed=5)
     hetero.train(num_samples=40, seed=5)
     return hetero
@@ -206,27 +203,21 @@ class TestPlanBatch:
         assert plans[0][0] is plans[1][0]
         assert plans[0][1] == plans[1][1]
 
-    def test_matches_scalar_predict(self, trained_cart):
+    @pytest.mark.parametrize("fixture", ["trained_cart", "trained"])
+    def test_matches_scalar_predict(self, fixture, request):
         """Batched plans equal the scalar online path's decisions.
 
-        Exact equality needs a predictor whose batched forward is
-        bit-identical to its row forward — true for CART's lockstep
-        descent; an MLP's batched matmul can drift by ULPs.
+        Learned predictors return canonical-grid vectors, so a tree
+        descent and an MLP's matmul alike predict a row bit-identically
+        alone or inside a batch.
         """
+        hetero = request.getfixturevalue(fixture)
         workloads = [prepare_workload(b, d) for b, d in ITEMS]
-        plans = trained_cart.plan_batch(workloads)
+        plans = hetero.plan_batch(workloads)
         for workload, (spec, config) in zip(workloads, plans):
-            scalar_spec, scalar_config = trained_cart.predict(workload)
+            scalar_spec, scalar_config = hetero.predict(workload)
             assert spec is scalar_spec
             assert config == scalar_config
-
-    def test_agrees_with_scalar_predict_choice(self, trained):
-        """Batched and scalar paths agree on the accelerator choice."""
-        workloads = [prepare_workload(b, d) for b, d in ITEMS]
-        plans = trained.plan_batch(workloads)
-        for workload, (spec, _) in zip(workloads, plans):
-            scalar_spec, _ = trained.predict(workload)
-            assert spec is scalar_spec
 
     def test_cache_hits_bit_identical(self, trained):
         """A cache hit returns the identical decision, not a recompute."""
@@ -267,36 +258,31 @@ class TestPlanBatch:
 
 
 class TestCacheBypass:
-    """CART opts out of the LRU cache: its batched descent beats a hit."""
+    """The cache is exact: CART serves through it, and bypassing it
+    (``cache_capacity=0``) changes no decision."""
 
-    def test_cart_prefers_batched_forward(self, trained_cart):
-        assert trained_cart.predictor.prefer_decision_cache is False
-        assert trained_cart.decisions.cache_active is False
-        # The cache object still exists (decide()-style callers may want
-        # it later) but plan_batch must not touch it.
-        assert trained_cart.decision_cache is not None
-
-    def test_cache_preferring_predictor_stays_cached(self, trained):
-        assert trained.predictor.prefer_decision_cache is True
-        assert trained.decisions.cache_active is True
-
-    def test_bypass_leaves_cache_untouched(self, trained_cart):
+    def test_cart_hits_cache_and_matches_uncached(self, trained_cart):
         trained_cart.decision_cache.clear()
-        before = (
-            trained_cart.decision_cache.stats.hits,
-            trained_cart.decision_cache.stats.misses,
+        stats = trained_cart.decision_cache.stats
+        first = trained_cart.plan_batch(ITEMS)
+        hits, misses = stats.hits, stats.misses
+        second = trained_cart.plan_batch(ITEMS)
+        # The repeat batch probes each unique row once and hits every time.
+        assert stats.misses == misses
+        assert stats.hits - hits == len(set(ITEMS))
+        uncached = HeteroMap.with_default_pair(
+            predictor="cart", seed=5, cache_capacity=0
         )
-        trained_cart.plan_batch(ITEMS)
-        trained_cart.plan_batch(ITEMS)
-        after = (
-            trained_cart.decision_cache.stats.hits,
-            trained_cart.decision_cache.stats.misses,
-        )
-        assert after == before
-        assert len(trained_cart.decision_cache) == 0
+        uncached.train(num_samples=40, seed=5)
+        assert uncached.decision_cache is None
+        reference = uncached.plan_batch(ITEMS)
+        for plans in (first, second):
+            for (spec, config), (ref_spec, ref_config) in zip(plans, reference):
+                assert spec.name == ref_spec.name
+                assert config == ref_config
 
     def test_bypass_decisions_match_repeat_calls(self, trained_cart):
-        """Bypassing is decision-neutral: repeat batches agree exactly."""
+        """Cache hits are decision-neutral: repeat batches agree exactly."""
         first = trained_cart.plan_batch(ITEMS)
         second = trained_cart.plan_batch(ITEMS)
         for (spec_a, config_a), (spec_b, config_b) in zip(first, second):
